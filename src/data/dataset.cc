@@ -1,35 +1,74 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <string>
 
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace musenet::data {
 
-TrafficDataset::TrafficDataset(sim::FlowSeries flows, DatasetOptions options)
-    : flows_(std::move(flows)), options_(options) {
-  const int f = flows_.intervals_per_day();
-  const int64_t min_valid = options_.spec.MinValidIndex(f);
-  const int64_t max_valid =
-      flows_.num_intervals() - 1 - options_.horizon_offset;
-  MUSE_CHECK_LT(min_valid, max_valid)
-      << "series too short for the periodicity spec: needs more than "
-      << min_valid << " intervals, has " << flows_.num_intervals();
+namespace {
 
-  int test_days = options_.test_days;
+/// Base-index bounds of the chronological split: samples in
+/// [min_valid, test_start) train and validate, [test_start, max_valid] test.
+struct SplitBounds {
+  int64_t min_valid = 0;
+  int64_t max_valid = 0;
+  int64_t test_start = 0;
+};
+
+SplitBounds ComputeSplit(const sim::FlowSeries& flows,
+                         const DatasetOptions& options) {
+  const int f = flows.intervals_per_day();
+  SplitBounds split;
+  split.min_valid = options.spec.MinValidIndex(f);
+  split.max_valid = flows.num_intervals() - 1 - options.horizon_offset;
+  int test_days = options.test_days;
   if (test_days <= 0) {
-    const int64_t usable_days = (max_valid - min_valid + 1) / f;
+    const int64_t usable_days = (split.max_valid - split.min_valid + 1) / f;
     test_days = static_cast<int>(std::max<int64_t>(1, usable_days / 3));
   }
-  const int64_t test_start =
-      std::max(min_valid, max_valid + 1 - static_cast<int64_t>(test_days) * f);
+  split.test_start =
+      std::max(split.min_valid,
+               split.max_valid + 1 - static_cast<int64_t>(test_days) * f);
+  return split;
+}
+
+}  // namespace
+
+Status ValidateSeriesLength(const sim::FlowSeries& flows,
+                            const DatasetOptions& options) {
+  const SplitBounds split = ComputeSplit(flows, options);
+  const std::string has =
+      ", has " + std::to_string(flows.num_intervals()) + " intervals";
+  if (split.min_valid >= split.max_valid) {
+    return Status::InvalidArgument(
+        "series too short for the periodicity spec: needs more than " +
+        std::to_string(split.min_valid + 1 + options.horizon_offset) +
+        " intervals" + has);
+  }
+  if (split.test_start <= split.min_valid) {
+    return Status::InvalidArgument(
+        "no training samples before test span: the periodicity spec needs " +
+        std::to_string(split.min_valid) +
+        " intervals of history and the test span takes the last " +
+        std::to_string(split.max_valid + 1 - split.test_start) + has);
+  }
+  return Status::OK();
+}
+
+TrafficDataset::TrafficDataset(sim::FlowSeries flows, DatasetOptions options)
+    : flows_(std::move(flows)), options_(options) {
+  const Status valid = ValidateSeriesLength(flows_, options_);
+  MUSE_CHECK(valid.ok()) << valid.message();
+  const auto [min_valid, max_valid, test_start] =
+      ComputeSplit(flows_, options_);
 
   for (int64_t i = test_start; i <= max_valid; ++i) test_.push_back(i);
 
   std::vector<int64_t> fit_pool;
   for (int64_t i = min_valid; i < test_start; ++i) fit_pool.push_back(i);
-  MUSE_CHECK(!fit_pool.empty()) << "no training samples before test span";
 
   // Validation = chronological tail of the pre-test span.
   const size_t val_count = static_cast<size_t>(

@@ -9,6 +9,7 @@
 #include "data/scaler.h"
 #include "sim/flow_series.h"
 #include "tensor/tensor.h"
+#include "util/status.h"
 
 namespace musenet::data {
 
@@ -28,6 +29,14 @@ struct DatasetOptions {
   /// bench scale to bound single-core training time.
   int64_t max_train_samples = 0;
 };
+
+/// Checks that `flows` is long enough to split under `options`: the
+/// periodicity spec's history window must fit, and at least one sample must
+/// precede the test span. InvalidArgument names the shortfall otherwise.
+/// TrafficDataset's constructor aborts on the same check, so code that
+/// loads a flows file from outside the program calls this first.
+Status ValidateSeriesLength(const sim::FlowSeries& flows,
+                            const DatasetOptions& options);
 
 /// A mini-batch of scaled model inputs.
 struct Batch {

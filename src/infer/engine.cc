@@ -21,20 +21,6 @@ namespace musenet::infer {
 namespace ag = musenet::autograd;
 namespace ts = musenet::tensor;
 
-/// fp32 repacking is bit-exact and BN folding perturbs only at fp32 rounding
-/// scale; reduced precision perturbs at weight-quantization scale.
-float DefaultDeltaGate(PrecisionMode precision) {
-  switch (precision) {
-    case PrecisionMode::kFp32:
-      return 1e-4f;
-    case PrecisionMode::kBf16:
-      return 5e-2f;
-    case PrecisionMode::kInt8:
-      return 2.5e-1f;
-  }
-  return 1e-4f;
-}
-
 Engine::Engine(eval::Forecaster& model, EngineOptions options)
     : model_(model),
       options_(options),
@@ -88,9 +74,7 @@ bool Engine::BuildInstance(const data::Batch& batch, PlanInstance* inst) {
   obs::ScopedSpan spec_span("infer.plan.specialize", "batch", bsz);
   PlanInstance spec;
   spec.plan = inst->plan;
-  SpecializeOptions sopts;
-  sopts.precision = options_.precision;
-  const Status st = SpecializePlan(&spec.plan, sopts);
+  const Status st = SpecializePlan(&spec.plan);
   if (!st.ok() || !spec.plan.specialized) return true;  // Nothing to gain.
   FinalizeInstance(&spec);
 
@@ -105,10 +89,7 @@ bool Engine::BuildInstance(const data::Batch& batch, PlanInstance* inst) {
     worst = std::max(worst, std::abs(got.flat(i) - ref.flat(i)));
   }
   spec_delta_[bsz] = worst;
-  const float gate = options_.max_abs_delta >= 0.0f
-                         ? options_.max_abs_delta
-                         : DefaultDeltaGate(options_.precision);
-  if (worst <= gate) {
+  if (worst <= options_.max_abs_delta) {
     *inst = std::move(spec);
     spec_active_[bsz] = true;
     spec_builds_->Add();
@@ -205,7 +186,7 @@ Engine::ShardSet* Engine::GetOrBuildShards(const data::Batch& batch) {
   // train-mode BN, ...) produces different numbers when split, and must run
   // on the full-batch plan instead. When specialization is active the lanes
   // carry specialized numerics, so the reference is the engine's own
-  // full-batch plan (same specialization) rather than the fp32 model.
+  // full-batch plan (same specialization) rather than the model.
   ts::Tensor got = ts::Tensor::Uninitialized(set.out_shape);
   RunSharded(set, batch, got.mutable_data());
   ts::Tensor ref;

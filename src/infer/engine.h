@@ -50,34 +50,29 @@ namespace musenet::infer {
 /// sharded run at a batch size is validated at plan build time (against the
 /// model's own Predict, or against the engine's full-batch plan when
 /// specialization is active, since specialized numerics legitimately differ
-/// from fp32), and on mismatch the engine permanently falls back to the
+/// from the model's), and on mismatch the engine permanently falls back to the
 /// unsharded full-batch plan for that size.
 ///
 /// Plan-time specialization (EngineOptions::specialize) runs SpecializePlan
 /// on every freshly built plan — BN/affine chains folded into weights,
-/// weights repacked into GEMM tiles at the requested precision — then gates
-/// adoption on max |specialized − base| over the planning batch. A plan
-/// that fails the gate is discarded and the base fp32 plan serves instead
-/// (counter infer.engine.spec_rejected). Specialization bakes the weights
+/// weights repacked into GEMM tiles — then gates adoption on
+/// max |specialized − base| over the planning batch. A plan that fails the
+/// gate is discarded and the base plan serves instead (counter
+/// infer.engine.spec_rejected). Specialization bakes the weights
 /// into the plan: unlike base plans, in-place weight updates are NOT picked
 /// up until InvalidatePlans() (EngineForecaster::Train does this).
 struct EngineOptions {
   /// Run SpecializePlan on every built plan and adopt it when it passes the
   /// accuracy gate.
   bool specialize = false;
-  /// Weight storage precision of specialized plans.
-  PrecisionMode precision = PrecisionMode::kFp32;
   /// Accuracy gate: max allowed |specialized − base| element delta on the
-  /// planning batch. Negative selects the per-precision default
-  /// (fp32 1e-4, bf16 5e-2, int8 2.5e-1 — scaled-output units).
-  float max_abs_delta = -1.0f;
+  /// planning batch, in scaled-output units. Repacking is bit-exact and BN
+  /// folding perturbs only at fp32 rounding scale, so 1e-4 leaves a wide
+  /// margin; tests lower it to force a rejection. The serving registry's
+  /// shadow validation holds each tenant's candidates to the same value, so
+  /// a hot-swapped plan meets the budget of a locally built one.
+  float max_abs_delta = 1e-4f;
 };
-
-/// Per-precision default for the specialization accuracy gate (scaled
-/// prediction units). Shared by the engine's plan-adoption check and the
-/// serving registry's shadow validation, so a hot-swapped plan is held to
-/// the same budget as a locally built one.
-float DefaultDeltaGate(PrecisionMode precision);
 
 class Engine {
  public:

@@ -9,7 +9,6 @@
 #include <immintrin.h>
 #endif
 
-#include "infer/precision.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/kernel_util.h"
@@ -488,11 +487,8 @@ inline void BiasActRowPerCol(float* row, const float* bias, int64_t n,
 // weights: K-panels ascend, k ascends within a panel, so the accumulation
 // chain per output element matches GemmAccF32's exactly (fp32 repacking is
 // therefore numerically invisible); the direct conv kernel below reproduces
-// the same panel grouping without the column matrix. int8/bf16 payloads are
-// dequantized into fixed stack buffers (or, for the direct kernel, a
-// plan-sized arena region) and fed to the same fp32 arithmetic — reduced
-// precision changes the stored weights only, never the accumulation, so
-// specialized replay stays deterministic and thread-count independent.
+// the same panel grouping without the column matrix, so specialized replay
+// stays deterministic and thread-count independent.
 
 void RunConvPacked(const Step& step, float* const* bufs, const Plan& plan) {
   const StepGeom& geom = step.geom;
@@ -524,35 +520,8 @@ void RunConvPacked(const Step& step, float* const* bufs, const Plan& plan) {
         const float* bpanel = col + kp * ceil_osp;
         for (int64_t i0 = 0; i0 < geom.cout; i0 += mr) {
           const int64_t mr_eff = std::min(mr, geom.cout - i0);
-          // The weight is the GEMM's A operand; one row panel × K-panel
-          // block is at most kGemmMaxMr × kGemmKc floats (8 KB stack).
-          float abuf[ts::kGemmMaxMr * ts::kGemmKc];
-          const float* ap = nullptr;
-          const int64_t abase = i0 * kdim + kp * mr;
-          switch (pw.precision) {
-            case PrecisionMode::kFp32:
-              ap = pw.f32.data() + abase;
-              break;
-            case PrecisionMode::kBf16: {
-              const uint16_t* src = pw.bf16.data() + abase;
-              for (int64_t e = 0; e < kc * mr; ++e) {
-                abuf[e] = F32FromBf16(src[e]);
-              }
-              ap = abuf;
-              break;
-            }
-            case PrecisionMode::kInt8: {
-              const int8_t* src = pw.i8.data() + abase;
-              for (int64_t kk = 0; kk < kc; ++kk) {
-                for (int64_t r = 0; r < mr; ++r) {
-                  abuf[kk * mr + r] = pw.scales[i0 + r] *
-                                      static_cast<float>(src[kk * mr + r]);
-                }
-              }
-              ap = abuf;
-              break;
-            }
-          }
+          // The weight is the GEMM's A operand.
+          const float* ap = pw.f32.data() + i0 * kdim + kp * mr;
           for (int64_t js = 0; js < osp; js += nr) {
             ts::GemmMicroKernelAcc(ap, /*a_rs=*/1, /*a_ks=*/mr,
                                    bpanel + (js / nr) * kc * nr,
@@ -742,50 +711,18 @@ void RunConvDirect(const Step& step, float* const* bufs, const Plan& plan) {
   float* po = bufs[step.out];
   float* scratch = bufs[step.scratch];
   const int64_t pad = step.attrs.i1;
-  const int64_t kdim = geom.cin * geom.kh * geom.kw;
   const int64_t osp = geom.oh * geom.ow;
   const int64_t pws = DirectPaddedWidth(geom.w, pad);
   const int64_t padded_elems = geom.cin * geom.h * pws;
   const auto act = static_cast<ts::ActKind>(step.spec_act);
-
-  // Non-fp32 payloads dequantize once per call into the shared region at
-  // the head of the scratch buffer (the weight is read kh·kw·oh times per
-  // sample, so a single up-front pass beats per-tile dequant); fp32 replays
-  // the stored layout directly.
-  const float* wd = nullptr;
-  int64_t wd_elems = 0;
-  switch (pw.precision) {
-    case PrecisionMode::kFp32:
-      wd = pw.f32.data();
-      break;
-    case PrecisionMode::kBf16:
-      wd_elems = kdim * geom.cout;
-      for (int64_t e = 0; e < wd_elems; ++e) {
-        scratch[e] = F32FromBf16(pw.bf16[static_cast<size_t>(e)]);
-      }
-      wd = scratch;
-      break;
-    case PrecisionMode::kInt8:
-      wd_elems = kdim * geom.cout;
-      for (int64_t kk = 0; kk < kdim; ++kk) {
-        const int8_t* src = pw.i8.data() + kk * geom.cout;
-        float* dst = scratch + kk * geom.cout;
-        for (int64_t r = 0; r < geom.cout; ++r) {
-          dst[r] = pw.scales[static_cast<size_t>(r)] *
-                   static_cast<float>(src[r]);
-        }
-      }
-      wd = scratch;
-      break;
-  }
-  float* padded_base = scratch + wd_elems;
+  const float* wd = pw.f32.data();
 
   util::ActivePool().ParallelFor(0, geom.batch, 1,
                                  [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
       // Zero-pad the sample: `pad` columns each side plus chunk slack,
       // every padded row written exactly once.
-      float* ppad = padded_base + b * padded_elems;
+      float* ppad = scratch + b * padded_elems;
       const float* sin = pin + b * geom.cin * geom.h * geom.w;
       for (int64_t ci = 0; ci < geom.cin; ++ci) {
         for (int64_t y = 0; y < geom.h; ++y) {
@@ -848,33 +785,8 @@ void RunDensePacked(const Step& step, float* const* bufs, const Plan& plan) {
   for (int64_t kp = 0; kp < k; kp += ts::kGemmKc) {
     const int64_t kc = std::min(ts::kGemmKc, k - kp);
     for (int64_t js = 0; js < n; js += nr) {
-      // One packed strip is at most kGemmKc × kGemmMaxNr floats (32 KB
-      // stack); dequantized once per strip, reused across all row panels.
-      float bbuf[ts::kGemmKc * ts::kGemmMaxNr];
-      const float* bp = nullptr;
-      const int64_t bbase = kp * ceil_n + (js / nr) * kc * nr;
-      switch (pw.precision) {
-        case PrecisionMode::kFp32:
-          bp = pw.f32.data() + bbase;
-          break;
-        case PrecisionMode::kBf16: {
-          const uint16_t* src = pw.bf16.data() + bbase;
-          for (int64_t e = 0; e < kc * nr; ++e) bbuf[e] = F32FromBf16(src[e]);
-          bp = bbuf;
-          break;
-        }
-        case PrecisionMode::kInt8: {
-          const int8_t* src = pw.i8.data() + bbase;
-          for (int64_t kk = 0; kk < kc; ++kk) {
-            for (int64_t j = 0; j < nr; ++j) {
-              bbuf[kk * nr + j] = pw.scales[js + j] *
-                                  static_cast<float>(src[kk * nr + j]);
-            }
-          }
-          bp = bbuf;
-          break;
-        }
-      }
+      // One packed strip, reused across all row panels.
+      const float* bp = pw.f32.data() + kp * ceil_n + (js / nr) * kc * nr;
       for (int64_t i0 = 0; i0 < m; i0 += mr) {
         ts::GemmMicroKernelAcc(px + i0 * k + kp, /*a_rs=*/k, /*a_ks=*/1, bp,
                                po + i0 * n + js, n, std::min(mr, m - i0),
@@ -1028,12 +940,8 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
   }
 }
 
-int64_t DirectConvScratchElems(const StepGeom& geom, int64_t pad,
-                               PrecisionMode precision) {
-  const int64_t kdim = geom.cin * geom.kh * geom.kw;
-  const int64_t wd =
-      precision == PrecisionMode::kFp32 ? 0 : kdim * geom.cout;
-  return wd + geom.batch * geom.cin * geom.h * DirectPaddedWidth(geom.w, pad);
+int64_t DirectConvScratchElems(const StepGeom& geom, int64_t pad) {
+  return geom.batch * geom.cin * geom.h * DirectPaddedWidth(geom.w, pad);
 }
 
 }  // namespace musenet::infer

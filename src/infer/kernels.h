@@ -13,16 +13,13 @@ namespace musenet::infer {
 /// forward bit for bit. Steps specialized by SpecializePlan (spec !=
 /// SpecKind::kNone) replay their pre-tiled weight from
 /// `plan.packed_weights[step.packed]` instead — same ascending-k
-/// accumulation through the same micro-kernel, with int8/bf16 payloads
-/// dequantized into fixed stack buffers. Performs no heap allocation.
+/// accumulation through the same micro-kernel. Performs no heap allocation.
 void RunStep(const Step& step, float* const* bufs, const Plan& plan);
 
-/// Arena scratch elements a SpecKind::kConvDirect step needs: a shared
-/// dequantized-weight region (non-fp32 precisions only) followed by one
+/// Arena scratch elements a SpecKind::kConvDirect step needs: one
 /// zero-padded input image per sample. SpecializePlan sizes the step's
 /// scratch buffer with this; RunStep carves the same layout back out.
-int64_t DirectConvScratchElems(const StepGeom& geom, int64_t pad,
-                               PrecisionMode precision);
+int64_t DirectConvScratchElems(const StepGeom& geom, int64_t pad);
 
 }  // namespace musenet::infer
 

@@ -73,16 +73,6 @@ struct StepGeom {
   std::vector<int64_t> aux;  ///< Concat: per-input extents along the axis.
 };
 
-/// Numeric format of a specialized plan's repacked weights. Activations and
-/// accumulation stay fp32 in every mode — reduced precision applies to the
-/// stored weights only (dequantized panel-by-panel into the fp32
-/// micro-kernel), which preserves the engine's determinism contract.
-enum class PrecisionMode : uint8_t {
-  kFp32,  ///< Repacked tiles, full precision.
-  kInt8,  ///< Symmetric per-output-channel int8 weights + fp32 scales.
-  kBf16,  ///< Round-to-nearest-even bf16 weights.
-};
-
 /// How a step was specialized (SpecializePlan); kNone replays the generic
 /// kernel for its OpKind.
 enum class SpecKind : uint8_t {
@@ -92,22 +82,15 @@ enum class SpecKind : uint8_t {
   kDensePacked,  ///< MatMul with pre-tiled weights + folded bias/act.
 };
 
-/// One plan-time repacked (and optionally quantized) weight. Exactly one of
-/// f32 / bf16 / i8 is populated, matching `precision`; the payload is the
-/// GEMM tile layout (GemmPackATiles for conv — weight is the A operand of
-/// the im2col GEMM — GemmPackBTiles for dense), with BN/affine chains
-/// already folded in. Stride-1 convs use the direct layout instead
-/// (`direct` set): `wd[kk * cout + r]` with kk = (ci·kh + ky)·kw + kx, the
-/// same k order the im2col GEMM reduces in.
+/// One plan-time repacked fp32 weight. `f32` is the GEMM tile layout
+/// (GemmPackATiles for conv — weight is the A operand of the im2col GEMM —
+/// GemmPackBTiles for dense), with BN/affine chains already folded in.
+/// Stride-1 convs use the direct layout instead (`direct` set):
+/// `wd[kk * cout + r]` with kk = (ci·kh + ky)·kw + kx, the same k order the
+/// im2col GEMM reduces in.
 struct PackedWeight {
-  PrecisionMode precision = PrecisionMode::kFp32;
   bool direct = false;  ///< Direct-conv layout instead of GEMM tiles.
   std::vector<float> f32;
-  std::vector<uint16_t> bf16;
-  std::vector<int8_t> i8;
-  /// kInt8: per-output-channel dequant scales, padded to the packed extent
-  /// (conv: ceil(cout/mr)·mr, dense: ceil(n/nr)·nr; pad lanes get 1).
-  std::vector<float> scales;
   std::vector<float> bias;  ///< Folded per-channel shift (β − μ·γ/σ, +bias).
   bool has_epilogue = false;  ///< Any nonzero bias or non-identity act.
 };
@@ -135,7 +118,6 @@ struct Plan {
   int64_t batch_size = 0;     ///< Batch size the plan was compiled for.
   tensor::Shape out_shape;    ///< Prediction shape [B, 2, H, W].
   int64_t flops = 0;          ///< GEMM/conv flops per run (for telemetry).
-  PrecisionMode precision = PrecisionMode::kFp32;
   bool specialized = false;   ///< Any step rewritten by SpecializePlan.
 };
 

@@ -32,8 +32,8 @@ struct SessionOptions {
   /// How long the dispatcher holds an under-full batch open for stragglers
   /// before running it. 0 runs every request immediately (no coalescing).
   double max_wait_ms = 2.0;
-  /// Engine configuration (plan-time specialization, weight precision,
-  /// accuracy gate) — forwarded to the session's Engine.
+  /// Engine configuration (plan-time specialization, accuracy gate) —
+  /// forwarded to the session's Engine.
   EngineOptions engine;
 };
 

@@ -1,14 +1,12 @@
 #include "infer/specialize.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "infer/kernels.h"
-#include "infer/precision.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
@@ -248,100 +246,23 @@ ChainFold WalkChain(const Plan& plan, const std::vector<bool>& live,
 }
 
 /// Packs `w` ([rows, cols] row-major; conv A operand or dense B operand,
-/// already scaled) into a PackedWeight at the requested precision. For int8
-/// the quantization channel is the A row (conv output channel) or B column
-/// (dense output feature).
+/// already scaled) into the GEMM tile layout of that operand.
 PackedWeight PackMatrix(const std::vector<float>& w, int64_t rows,
-                        int64_t cols, bool as_a_operand, PrecisionMode prec,
+                        int64_t cols, bool as_a_operand,
                         std::vector<float> bias, int32_t act) {
   PackedWeight pw;
-  pw.precision = prec;
   pw.bias = std::move(bias);
   bool any_bias = false;
   for (const float b : pw.bias) any_bias = any_bias || b != 0.0f;
   pw.has_epilogue =
       any_bias || act != static_cast<int32_t>(ts::ActKind::kIdentity);
 
-  const ts::GemmTile tile = ts::GemmTileShape();
-  std::vector<float> packed;
-  // Packed-position → quantization-channel map, filled alongside the pack.
-  std::vector<int64_t> channel_of;
   if (as_a_operand) {
-    packed.resize(static_cast<size_t>(ts::GemmPackedAElems(rows, cols)));
-    ts::GemmPackATiles(rows, cols, w.data(), cols, packed.data());
-    if (prec == PrecisionMode::kInt8) {
-      channel_of.resize(packed.size());
-      const int64_t mr = tile.mr;
-      for (int64_t i0 = 0; i0 < rows; i0 += mr) {
-        for (int64_t kk = 0; kk < cols; ++kk) {
-          for (int64_t r = 0; r < mr; ++r) {
-            channel_of[static_cast<size_t>(i0 * cols + kk * mr + r)] = i0 + r;
-          }
-        }
-      }
-    }
+    pw.f32.resize(static_cast<size_t>(ts::GemmPackedAElems(rows, cols)));
+    ts::GemmPackATiles(rows, cols, w.data(), cols, pw.f32.data());
   } else {
-    packed.resize(static_cast<size_t>(ts::GemmPackedBElems(rows, cols)));
-    ts::GemmPackBTiles(rows, cols, w.data(), cols, packed.data());
-    if (prec == PrecisionMode::kInt8) {
-      channel_of.resize(packed.size());
-      const int64_t nr = tile.nr;
-      const int64_t ceil_n = (cols + nr - 1) / nr * nr;
-      for (int64_t kp = 0; kp < rows; kp += ts::kGemmKc) {
-        const int64_t kc = std::min(ts::kGemmKc, rows - kp);
-        for (int64_t js = 0; js < ceil_n; js += nr) {
-          const int64_t strip = kp * ceil_n + (js / nr) * kc * nr;
-          for (int64_t kk = 0; kk < kc; ++kk) {
-            for (int64_t j = 0; j < nr; ++j) {
-              channel_of[static_cast<size_t>(strip + kk * nr + j)] = js + j;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  switch (prec) {
-    case PrecisionMode::kFp32:
-      pw.f32 = std::move(packed);
-      break;
-    case PrecisionMode::kBf16:
-      pw.bf16.resize(packed.size());
-      for (size_t i = 0; i < packed.size(); ++i) {
-        pw.bf16[i] = Bf16FromF32(packed[i]);
-      }
-      break;
-    case PrecisionMode::kInt8: {
-      // Symmetric per-channel scales from the folded weights themselves
-      // (weight-only quantization; the engine's accuracy gate on live
-      // activations decides whether the plan is adopted). Padding channels
-      // hold zeros; scale 1 keeps their dequant finite.
-      const int64_t channels = as_a_operand ? rows : cols;
-      const int64_t padded = as_a_operand
-                                 ? (rows + tile.mr - 1) / tile.mr * tile.mr
-                                 : (cols + tile.nr - 1) / tile.nr * tile.nr;
-      std::vector<float> maxabs(static_cast<size_t>(channels), 0.0f);
-      for (int64_t ch = 0; ch < channels; ++ch) {
-        const float* row = w.data() + (as_a_operand ? ch * cols : ch);
-        const int64_t count = as_a_operand ? cols : rows;
-        const int64_t stride = as_a_operand ? 1 : cols;
-        for (int64_t e = 0; e < count; ++e) {
-          maxabs[ch] = std::max(maxabs[ch], std::fabs(row[e * stride]));
-        }
-      }
-      pw.scales.assign(static_cast<size_t>(padded), 1.0f);
-      for (int64_t ch = 0; ch < channels; ++ch) {
-        pw.scales[ch] = maxabs[ch] > 0.0f ? maxabs[ch] / 127.0f : 1.0f;
-      }
-      pw.i8.resize(packed.size());
-      for (size_t i = 0; i < packed.size(); ++i) {
-        const float s = pw.scales[static_cast<size_t>(channel_of[i])];
-        const float q = std::nearbyint(packed[i] / s);
-        pw.i8[i] = static_cast<int8_t>(
-            std::min(127.0f, std::max(-127.0f, q)));
-      }
-      break;
-    }
+    pw.f32.resize(static_cast<size_t>(ts::GemmPackedBElems(rows, cols)));
+    ts::GemmPackBTiles(rows, cols, w.data(), cols, pw.f32.data());
   }
   return pw;
 }
@@ -349,14 +270,11 @@ PackedWeight PackMatrix(const std::vector<float>& w, int64_t rows,
 /// Packs a conv weight (`w` is [cout, kdim] row-major, already scaled) into
 /// the direct-conv layout wd[kk·cout + r] — kk ascends in im2col row order
 /// (ci, ky, kx), so the direct kernel reduces in the exact k order of the
-/// tiled GEMM. int8 quantizes per output channel r with the same symmetric
-/// maxabs/127 scales as the tiled path, so the dequantized values (and
-/// therefore the replayed accumulation) are identical between layouts.
+/// tiled GEMM.
 PackedWeight PackConvDirect(const std::vector<float>& w, int64_t cout,
-                            int64_t kdim, PrecisionMode prec,
-                            std::vector<float> bias, int32_t act) {
+                            int64_t kdim, std::vector<float> bias,
+                            int32_t act) {
   PackedWeight pw;
-  pw.precision = prec;
   pw.direct = true;
   pw.bias = std::move(bias);
   bool any_bias = false;
@@ -364,49 +282,18 @@ PackedWeight PackConvDirect(const std::vector<float>& w, int64_t cout,
   pw.has_epilogue =
       any_bias || act != static_cast<int32_t>(ts::ActKind::kIdentity);
 
-  std::vector<float> wd(static_cast<size_t>(kdim * cout));
+  pw.f32.resize(static_cast<size_t>(kdim * cout));
   for (int64_t r = 0; r < cout; ++r) {
     const float* row = w.data() + r * kdim;
-    for (int64_t kk = 0; kk < kdim; ++kk) wd[kk * cout + r] = row[kk];
-  }
-  switch (prec) {
-    case PrecisionMode::kFp32:
-      pw.f32 = std::move(wd);
-      break;
-    case PrecisionMode::kBf16:
-      pw.bf16.resize(wd.size());
-      for (size_t i = 0; i < wd.size(); ++i) pw.bf16[i] = Bf16FromF32(wd[i]);
-      break;
-    case PrecisionMode::kInt8: {
-      pw.scales.assign(static_cast<size_t>(cout), 1.0f);
-      for (int64_t r = 0; r < cout; ++r) {
-        float maxabs = 0.0f;
-        const float* row = w.data() + r * kdim;
-        for (int64_t kk = 0; kk < kdim; ++kk) {
-          maxabs = std::max(maxabs, std::fabs(row[kk]));
-        }
-        if (maxabs > 0.0f) pw.scales[static_cast<size_t>(r)] = maxabs / 127.0f;
-      }
-      pw.i8.resize(wd.size());
-      for (int64_t kk = 0; kk < kdim; ++kk) {
-        for (int64_t r = 0; r < cout; ++r) {
-          const float s = pw.scales[static_cast<size_t>(r)];
-          const float q = std::nearbyint(wd[kk * cout + r] / s);
-          pw.i8[kk * cout + r] =
-              static_cast<int8_t>(std::min(127.0f, std::max(-127.0f, q)));
-        }
-      }
-      break;
-    }
+    for (int64_t kk = 0; kk < kdim; ++kk) pw.f32[kk * cout + r] = row[kk];
   }
   return pw;
 }
 
 }  // namespace
 
-Status SpecializePlan(Plan* plan, const SpecializeOptions& options) {
+Status SpecializePlan(Plan* plan) {
   MUSE_CHECK(plan->root >= 0) << "SpecializePlan on an empty plan";
-  plan->precision = options.precision;
   const int32_t root_base = ResolveBase(*plan, plan->root);
 
   SnapshotWeights(plan);
@@ -446,7 +333,7 @@ Status SpecializePlan(Plan* plan, const SpecializeOptions& options) {
     int32_t index;
   };
   std::map<int32_t, std::vector<CacheEntry>> packed_cache;
-  for (size_t s = 0; options.fold_chains && s < plan->steps.size(); ++s) {
+  for (size_t s = 0; s < plan->steps.size(); ++s) {
     if (!live[s]) continue;
     Step& step = plan->steps[s];
     if (step.kind != ag::OpKind::kConv2d && step.kind != ag::OpKind::kMatMul) {
@@ -496,12 +383,11 @@ Status SpecializePlan(Plan* plan, const SpecializeOptions& options) {
     }
     if (packed_index < 0) {
       plan->packed_weights.push_back(
-          direct ? PackConvDirect(w, channels, kdim, options.precision,
-                                  fold.shift, fold.act)
+          direct ? PackConvDirect(w, channels, kdim, fold.shift, fold.act)
                  : PackMatrix(w, is_conv ? channels : kdim,
                               is_conv ? kdim : channels,
-                              /*as_a_operand=*/is_conv, options.precision,
-                              fold.shift, fold.act));
+                              /*as_a_operand=*/is_conv, fold.shift,
+                              fold.act));
       packed_index = static_cast<int32_t>(plan->packed_weights.size() - 1);
       packed_cache[w_idx].push_back(
           {fold.scale, fold.shift, fold.act, fold.alpha, direct,
@@ -524,12 +410,12 @@ Status SpecializePlan(Plan* plan, const SpecializeOptions& options) {
     step.out = fold.final_out;
     for (const size_t t : fold.absorbed) live[t] = false;
     if (direct) {
-      // Scratch holds the dequantized weight (non-fp32) plus one padded
-      // input image per sample; im2col and PackB scratch are gone.
+      // Scratch holds one padded input image per sample; im2col and PackB
+      // scratch are gone.
       step.geom.col_elems = 0;
       step.geom.pack_elems = 0;
-      plan->buffers[step.scratch].elems = DirectConvScratchElems(
-          step.geom, step.attrs.i1, options.precision);
+      plan->buffers[step.scratch].elems =
+          DirectConvScratchElems(step.geom, step.attrs.i1);
     } else if (is_conv) {
       // Replay im2cols straight into the packed-B tile layout; the separate
       // per-call PackB scratch is gone.

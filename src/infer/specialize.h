@@ -24,31 +24,24 @@ namespace musenet::infer {
 //     optional BiasAct, and one trailing activation are absorbed into the
 //     weight (W' = W·scale per output channel, bias = shift) and a fused
 //     epilogue; the weight is then packed into the GEMM micro-kernel's tile
-//     layout (A-tiles for conv, B-tiles for dense) at the requested
-//     precision. The step becomes kConvPacked / kDensePacked writing
-//     directly to the chain's final output buffer.
+//     layout (A-tiles for conv, B-tiles for dense). The step becomes
+//     kConvPacked / kDensePacked writing directly to the chain's final
+//     output buffer.
 //  4. Re-layout — dead steps are dropped, dead constants freed, flops
 //     recomputed, and the arena re-laid-out over the new lifetimes.
 //
 // Numerics: stage 3 changes the arithmetic (scales are multiplied into
 // weights ahead of the GEMM), so specialized output is no longer bit-equal
-// to the traced forward — the engine gates adoption on a max-abs-delta
-// check against the unspecialized plan. Accumulation itself still runs the
-// fp32 micro-kernel in the same ascending-k order at every precision
-// (int8/bf16 weights are dequantized panel-by-panel), so specialized replay
+// to the traced forward — the engine gates adoption on a max element delta
+// against the unspecialized plan. Accumulation itself still runs the
+// fp32 micro-kernel in the same ascending-k order, so specialized replay
 // remains deterministic and thread-count independent.
-
-struct SpecializeOptions {
-  PrecisionMode precision = PrecisionMode::kFp32;
-  /// Fold BN/affine chains into weights (stage 3's chain absorption).
-  bool fold_chains = true;
-};
 
 /// Specializes `plan` in place. Sets plan->specialized when at least one
 /// step was rewritten; a plan with no conv/dense steps (or with every weight
 /// unfoldable) comes back unchanged and ok. Never fails on model structure —
 /// unsupported patterns are simply left generic.
-Status SpecializePlan(Plan* plan, const SpecializeOptions& options);
+Status SpecializePlan(Plan* plan);
 
 }  // namespace musenet::infer
 

@@ -412,7 +412,7 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
 namespace {
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted
-/// convention ("serve.taxi-int8.shed") maps dots and every other outlaw
+/// convention ("serve.taxi-b.shed") maps dots and every other outlaw
 /// character to '_'. Deterministic, so scrape series names are stable.
 std::string PrometheusName(const std::string& name) {
   std::string out = name;

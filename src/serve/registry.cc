@@ -35,16 +35,6 @@ int StageIndex(const char* stage) {
   return 0;
 }
 
-/// Weight precision the tenant's plans serve at, for /statusz.
-const char* PrecisionName(const infer::EngineOptions& engine) {
-  if (!engine.specialize) return "fp32";
-  switch (engine.precision) {
-    case infer::PrecisionMode::kBf16: return "bf16";
-    case infer::PrecisionMode::kInt8: return "int8";
-    default: return "fp32";
-  }
-}
-
 }  // namespace
 
 ModelRegistry::ModelRegistry(RegistryOptions options)
@@ -116,14 +106,7 @@ Result<std::shared_ptr<const ServingPlan>> ModelRegistry::BuildCandidate(
   // --- 3. SHADOW: replay held-out probes on the candidate only --------------
   stage("shadow");
   obs::ScopedSpan shadow_span("serve.swap.shadow");
-  float gate = options_.max_abs_delta;
-  if (gate < 0.0f) {
-    gate = spec.engine.specialize
-               ? (spec.engine.max_abs_delta >= 0.0f
-                      ? spec.engine.max_abs_delta
-                      : infer::DefaultDeltaGate(spec.engine.precision))
-               : infer::DefaultDeltaGate(infer::PrecisionMode::kFp32);
-  }
+  const float gate = spec.engine.max_abs_delta;
   int64_t probed = 0;
   for (const data::Batch& probe : options_.probes) {
     // Registry-level probes are shared across tenants; only those matching
@@ -273,7 +256,6 @@ std::vector<ModelRegistry::TenantStatus> ModelRegistry::TenantStatuses()
       status.source_path = plan->source_path;
       status.content_hash = plan->content_hash;
     }
-    status.precision = PrecisionName(tenant->spec.engine);
     status.swap_state =
         StageName(tenant->swap_stage.load(std::memory_order_acquire));
     status.candidate_version =

@@ -19,12 +19,12 @@ namespace musenet::serve {
 
 /// One named tenant's model source: where its MUSETNSR container lives and
 /// how to instantiate/plan it. A city operator registers one spec per served
-/// model (per-city, per-dataset, A/B or precision variants).
+/// model (per-city, per-dataset or A/B variants).
 struct ModelSpec {
-  std::string name;            ///< Tenant name ("bike", "taxi-int8", ...).
+  std::string name;            ///< Tenant name ("bike", "taxi-b", ...).
   std::string path;            ///< MUSETNSR container (tensor::SaveTensors).
   muse::MuseNetConfig config;  ///< Architecture; must match the container.
-  infer::EngineOptions engine; ///< Plan-time specialization / precision.
+  infer::EngineOptions engine; ///< Plan-time specialization, delta gate.
   uint64_t seed = 7;           ///< Construction seed (weights overwritten).
 };
 
@@ -47,15 +47,11 @@ struct ServingPlan {
 struct RegistryOptions {
   /// Held-out inputs the candidate must predict sanely on. Validation
   /// checks every output element is finite and that the candidate engine
-  /// matches the candidate model's own eval forward within the accuracy
-  /// gate — the same engine-vs-model contract PR 6's specialization gate
+  /// matches the candidate model's own eval forward within the tenant's
+  /// EngineOptions::max_abs_delta — the same gate plan-time specialization
   /// enforces at plan build. Empty skips the probe pass (load/parse/shape
   /// errors still reject).
   std::vector<data::Batch> probes;
-  /// Max |engine − model| per element over the probes. Negative selects the
-  /// per-precision default of the tenant's EngineOptions (fp32 1e-4,
-  /// bf16 5e-2, int8 2.5e-1 — the PR 6 gates).
-  float max_abs_delta = -1.0f;
   /// Test hook: called synchronously at every swap-stage transition
   /// ("load", "build", "shadow", "commit", "idle") with the tenant name.
   /// Blocking inside the hook holds the swap at that stage — which is how
@@ -115,16 +111,15 @@ class ModelRegistry {
   std::vector<std::string> TenantNames() const;
 
   /// Point-in-time status of one tenant, for /statusz. Reads the active
-  /// plan through one atomic Acquire, so the (version, source, hash,
-  /// precision) tuple is internally consistent — never torn across a
-  /// concurrent commit; swap_state/candidate_version are racy-by-design
-  /// progress indicators of an in-flight swap.
+  /// plan through one atomic Acquire, so the (version, source, hash) tuple
+  /// is internally consistent — never torn across a concurrent commit;
+  /// swap_state/candidate_version are racy-by-design progress indicators of
+  /// an in-flight swap.
   struct TenantStatus {
     std::string name;
     int64_t version = 0;            ///< Active plan version (0 = none).
     std::string source_path;        ///< Container the active plan came from.
     uint64_t content_hash = 0;      ///< FNV-1a of the active container.
-    std::string precision;          ///< "fp32" / "bf16" / "int8".
     std::string swap_state;         ///< "idle" / "load" / "build" / ...
     int64_t candidate_version = 0;  ///< In-flight swap target (0 = none).
   };

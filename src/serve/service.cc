@@ -299,7 +299,14 @@ void ForecastService::Drain() {
     }
     return;
   }
-  for (auto& [name, state] : tenants_) state->cv.notify_all();
+  for (auto& [name, state] : tenants_) {
+    // A dispatcher checks draining_ under its tenant mutex before it waits.
+    // Notifying under that mutex keeps the notify from landing between the
+    // check and the wait, where it would be lost and the join below would
+    // hang.
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->cv.notify_all();
+  }
   for (auto& [name, state] : tenants_) {
     if (state->dispatcher.joinable()) state->dispatcher.join();
   }

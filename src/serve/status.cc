@@ -68,8 +68,6 @@ std::string StatusJson(const ModelRegistry& registry,
                   tenant.content_hash);
     out += ",\"content_hash\":";
     out += hash;
-    out += ",\"precision\":";
-    AppendEscaped(&out, tenant.precision);
     out += ",\"swap_state\":";
     AppendEscaped(&out, tenant.swap_state);
     out += ",\"candidate_version\":";

@@ -13,7 +13,7 @@ class ExpoServer;
 namespace musenet::serve {
 
 /// JSON body of /statusz: one object per tenant (sorted by name) with the
-/// active plan's identity (version, source, content hash, precision), the
+/// active plan's identity (version, source, content hash), the
 /// in-flight swap state, and — when `service` is non-null — the runtime
 /// signals (queue depth, token-bucket fill, EWMA batch service time,
 /// forecast-quality stats). Plan fields are read through one atomic plan

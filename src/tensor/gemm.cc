@@ -317,8 +317,6 @@ void GemmAccF32TransA(int64_t m, int64_t n, int64_t k, const float* at,
   GemmDriver(m, n, k, at, 1, ldat, b, ldb, 1, c, ldc, pack_scratch);
 }
 
-static_assert(kMr <= kGemmMaxMr && kNr <= kGemmMaxNr,
-              "stack-buffer bounds in packed-replay callers assume this");
 static_assert(kKc == kGemmKc, "packed layouts assume the K-panel height");
 
 GemmTile GemmTileShape() { return {kMr, kNr}; }

@@ -63,10 +63,6 @@ void GemmAccF32TransA(int64_t m, int64_t n, int64_t k, const float* at,
 // loops them that way — i.e. identical to GemmAccF32's, so replaying packed
 // weights is numerically indistinguishable from the unpacked path.
 
-/// Upper bounds on the ISA-selected tile (compile-time constants so callers
-/// can size stack buffers). The actual tile is GemmTileShape().
-inline constexpr int64_t kGemmMaxMr = 8;
-inline constexpr int64_t kGemmMaxNr = 32;
 /// K-panel height shared by every packed layout (kKc in gemm.cc).
 inline constexpr int64_t kGemmKc = 256;
 

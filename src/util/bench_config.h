@@ -18,14 +18,14 @@ namespace musenet {
 /// Each binary prints the resolved scale so results are self-describing.
 struct BenchScale {
   std::string name;     ///< "smoke" | "default" | "paper".
-  int epochs;           ///< Training epochs per model.
-  int grid_h;           ///< Grid height override (0 = dataset preset).
-  int grid_w;           ///< Grid width override (0 = dataset preset).
-  int days;             ///< Simulated days per dataset (0 = preset).
-  int repr_dim;         ///< d — representation channels.
-  int dist_dim;         ///< k — interactive distribution dimension.
-  int batch_size;       ///< Mini-batch size.
-  uint64_t seed;        ///< Base RNG seed.
+  int epochs = 0;       ///< Training epochs per model.
+  int grid_h = 0;       ///< Grid height override (0 = dataset preset).
+  int grid_w = 0;       ///< Grid width override (0 = dataset preset).
+  int days = 0;         ///< Simulated days per dataset (0 = preset).
+  int repr_dim = 0;     ///< d — representation channels.
+  int dist_dim = 0;     ///< k — interactive distribution dimension.
+  int batch_size = 0;   ///< Mini-batch size.
+  uint64_t seed = 0;    ///< Base RNG seed.
 };
 
 /// Resolves the scale from `MUSE_BENCH_SCALE` (default: "default") and

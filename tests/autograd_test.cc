@@ -108,6 +108,10 @@ struct UnaryOpCase {
   float hi;
 };
 
+// gtest's default byte dump would put the case's pointers into the test
+// name, which changes every run.
+void PrintTo(const UnaryOpCase& c, std::ostream* os) { *os << c.name; }
+
 class UnaryGradCheckTest : public ::testing::TestWithParam<UnaryOpCase> {};
 
 TEST_P(UnaryGradCheckTest, MatchesFiniteDifference) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "data/dataset.h"
 #include "data/interception.h"
@@ -268,6 +269,29 @@ TEST(DatasetTest, ScalerFitOnPreTestSpanOnly) {
   options.test_days = 4;
   TrafficDataset ds(std::move(flows), options);
   EXPECT_LT(ds.scaler().max_value(), 9999.0f);
+}
+
+TEST(DatasetTest, ShortSeriesIsAnErrorNamingTheShortfall) {
+  // The default spec needs 28 days (1344 intervals at f = 48) of history,
+  // and the automatic test span takes at least one day more.
+  const int f = 48;
+  DatasetOptions options;
+  const Status no_history =
+      ValidateSeriesLength(IndexedSeries(1, 1, f, 20 * f), options);
+  EXPECT_EQ(no_history.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(no_history.message().find("periodicity spec"), std::string::npos)
+      << no_history.message();
+
+  const Status no_train =
+      ValidateSeriesLength(IndexedSeries(1, 1, f, 29 * f), options);
+  EXPECT_EQ(no_train.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(no_train.message().find("no training samples"), std::string::npos)
+      << no_train.message();
+
+  EXPECT_TRUE(ValidateSeriesLength(IndexedSeries(1, 1, f, 30 * f), options)
+                  .ok());
+  EXPECT_DEATH(TrafficDataset(IndexedSeries(1, 1, f, 29 * f), options),
+               "no training samples");
 }
 
 }  // namespace

@@ -863,6 +863,10 @@ TEST(ServeObsTest, LatencyExemplarResolvesToRequestSpanInTrace) {
   serve::ModelRegistry registry(ProbedOptions());
   ASSERT_TRUE(registry.Load(TinySpecFor("bike", path)).ok());
 
+  // Request ids restart at 1 in every ForecastService, so exemplars left by
+  // earlier tests in this process would carry ids with no span in this
+  // trace. Reset clears them; only this test's requests remain.
+  obs::GetHistogram("serve.latency_ms", obs::LatencyBucketsMs()).Reset();
   obs::StartTracing();
   {
     serve::ForecastService service(registry);

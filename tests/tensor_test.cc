@@ -55,6 +55,12 @@ struct BroadcastCase {
   std::vector<int64_t> result;  // Valid when compatible.
 };
 
+// Names each case by its shapes; gtest's default byte dump of the vectors
+// would put heap addresses into the test names, which change every run.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  *os << Shape(c.a).ToString() << " with " << Shape(c.b).ToString();
+}
+
 class ShapeBroadcastTest : public ::testing::TestWithParam<BroadcastCase> {};
 
 TEST_P(ShapeBroadcastTest, CompatibilityAndResult) {

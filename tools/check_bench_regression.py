@@ -11,7 +11,7 @@ The tool auto-detects which benchmark document it was handed:
   serving   (BENCH_serving.json)   -- uncontended p50 and the per-overload
                                       p50s at every load multiple
   inference (BENCH_inference.json) -- single-stream engine/autograd p50 and
-                                      the specialized per-precision p50s
+                                      the specialized fp32 p50
   training  (BENCH_training.json)  -- per-benchmark training-step throughput
                                       (items/s), including the sharded
                                       data-parallel workers sweep

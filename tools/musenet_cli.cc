@@ -128,37 +128,6 @@ bool StartObservability(const Args& args,
   return true;
 }
 
-/// Shared --specialize / --precision / --max-abs-delta parsing for serve and
-/// bench-infer. A non-fp32 precision implies --specialize 1. Returns false
-/// (with a message on stderr) on an unknown precision name.
-bool ParseEngineOptions(const Args& args, infer::EngineOptions* out) {
-  const std::string precision = args.Get("precision", "fp32");
-  if (precision == "fp32") {
-    out->precision = infer::PrecisionMode::kFp32;
-  } else if (precision == "int8") {
-    out->precision = infer::PrecisionMode::kInt8;
-  } else if (precision == "bf16") {
-    out->precision = infer::PrecisionMode::kBf16;
-  } else {
-    std::fprintf(stderr, "error: unknown --precision '%s' (fp32|int8|bf16)\n",
-                 precision.c_str());
-    return false;
-  }
-  const bool non_fp32 = out->precision != infer::PrecisionMode::kFp32;
-  out->specialize = args.GetInt("specialize", non_fp32 ? 1 : 0) != 0;
-  out->max_abs_delta =
-      static_cast<float>(args.GetDouble("max-abs-delta", -1.0));
-  return true;
-}
-
-const char* PrecisionName(infer::PrecisionMode mode) {
-  switch (mode) {
-    case infer::PrecisionMode::kInt8: return "int8";
-    case infer::PrecisionMode::kBf16: return "bf16";
-    default: return "fp32";
-  }
-}
-
 /// Resolves the simulation scale the way `simulate` does: the bench scale
 /// from the environment with --seed/--days/--grid-h/--grid-w overrides.
 /// Shared with LoadForModel so a `--dataset` flag on train/evaluate recomputes
@@ -219,6 +188,7 @@ Result<LoadedDataset> LoadForModel(const Args& args) {
                                  ExpectedFlowsHash(args)));
   data::DatasetOptions options;
   options.max_train_samples = args.GetInt("max_train_samples", 320);
+  MUSE_RETURN_IF_ERROR(data::ValidateSeriesLength(flows, options));
   data::TrafficDataset dataset(std::move(flows), options);
 
   muse::MuseNetConfig config;
@@ -403,7 +373,7 @@ int Serve(const Args& args) {
   infer::SessionOptions options;
   options.max_batch = args.GetInt("max-batch", 8);
   options.max_wait_ms = args.GetDouble("max-wait-ms", 2.0);
-  if (!ParseEngineOptions(args, &options.engine)) return 2;
+  options.engine.specialize = args.GetInt("specialize", 0) != 0;
   const std::string trace_out = args.Get("trace-out", "");
   const std::string metrics_out = args.Get("metrics-out", "");
   if (!trace_out.empty()) obs::StartTracing();
@@ -455,8 +425,7 @@ int Serve(const Args& args) {
               Percentile(all, 0.99));
   if (options.engine.specialize) {
     std::printf(
-        "specialization: precision=%s plans_adopted=%lld plans_rejected=%lld\n",
-        PrecisionName(options.engine.precision),
+        "specialization: plans_adopted=%lld plans_rejected=%lld\n",
         static_cast<long long>(
             obs::GetCounter("infer.engine.spec_builds").Value()),
         static_cast<long long>(
@@ -487,7 +456,7 @@ int BenchInfer(const Args& args) {
   if (!model.ok()) return Fail(model.status());
 
   infer::EngineOptions eopts;
-  if (!ParseEngineOptions(args, &eopts)) return 2;
+  eopts.specialize = args.GetInt("specialize", 0) != 0;
 
   const int iters = std::max(1, args.GetInt("iters", 50));
   const int batch_size = std::max(1, args.GetInt("batch", 1));
@@ -539,9 +508,9 @@ int BenchInfer(const Args& args) {
       batch_size, threads, iters, a50, a99, e50, e99, a50 / e50, throughput);
 
   // Optional specialized engine: same plan shapes, but BN folded into the
-  // weights and the weights repacked (possibly quantized) at plan time.
-  // Timed against the fp32 engine above, and accuracy-checked on held-out
-  // test batches (max element delta and per-engine MAE in real flow units).
+  // weights and the weights repacked at plan time. Timed against the
+  // unspecialized engine above, and accuracy-checked on held-out test
+  // batches (max element delta and per-engine MAE in real flow units).
   double s50 = 0.0, s99 = 0.0;
   double max_abs_delta = 0.0, mae_fp32 = 0.0, mae_spec = 0.0;
   bool spec_active = false;
@@ -561,10 +530,10 @@ int BenchInfer(const Args& args) {
 
     // Accuracy sweep over held-out test batches (scaler-inverted units).
     const auto& scaler = loaded->dataset.scaler();
-    const int calib = std::max(1, args.GetInt("calib-batches", 8));
+    constexpr int kAccuracyBatches = 8;
     double abs_fp32 = 0.0, abs_spec = 0.0;
     int64_t count = 0;
-    for (int cb = 0; cb < calib; ++cb) {
+    for (int cb = 0; cb < kAccuracyBatches; ++cb) {
       std::vector<int64_t> idx;
       for (int b = 0; b < batch_size; ++b) {
         const size_t at = static_cast<size_t>(cb) * batch_size + b;
@@ -587,10 +556,10 @@ int BenchInfer(const Args& args) {
     mae_fp32 = abs_fp32 / static_cast<double>(count);
     mae_spec = abs_spec / static_cast<double>(count);
     std::printf(
-        "specialized(%s) Predict ms: p50 %.3f  p99 %.3f  (%.2fx vs engine)\n"
+        "specialized Predict ms: p50 %.3f  p99 %.3f  (%.2fx vs engine)\n"
         "specialized accuracy: active=%d max_abs_delta %.6g  "
         "mae fp32 %.4f vs spec %.4f (delta %.4g)\n",
-        PrecisionName(eopts.precision), s50, s99, e50 / s50,
+        s50, s99, e50 / s50,
         spec_active ? 1 : 0, max_abs_delta, mae_fp32, mae_spec,
         mae_spec - mae_fp32);
   }
@@ -615,7 +584,6 @@ int BenchInfer(const Args& args) {
       len += std::snprintf(
           buf + len, sizeof(buf) - static_cast<size_t>(len),
           ",\n"
-          "  \"precision\": \"%s\",\n"
           "  \"specialized\": {\n"
           "    \"engine_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
           "    \"speedup_vs_fp32_engine\": %.3f,\n"
@@ -625,7 +593,7 @@ int BenchInfer(const Args& args) {
           "    \"mae_spec\": %.6f,\n"
           "    \"mae_delta\": %.6g\n"
           "  }",
-          PrecisionName(eopts.precision), s50, s99, e50 / s50,
+          s50, s99, e50 / s50,
           spec_active ? "true" : "false", max_abs_delta, mae_fp32, mae_spec,
           mae_spec - mae_fp32);
     }
@@ -649,19 +617,13 @@ extern "C" void HandleSigint(int) {
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
-/// One `--models` entry: name=ckpt[:precision]. The optional precision
-/// suffix overrides the global --precision for that tenant (non-fp32 implies
-/// specialization, as in ParseEngineOptions).
+/// One `--models` entry per tenant: name=ckpt.
 bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
                      std::vector<serve::ModelSpec>* out) {
-  infer::EngineOptions base;
-  if (!ParseEngineOptions(args, &base)) return false;
   for (const std::string& entry : StrSplit(args.Get("models", ""), ',')) {
     const size_t eq = entry.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
-      std::fprintf(stderr,
-                   "error: --models entries are name=ckpt[:precision]; "
-                   "got '%s'\n",
+      std::fprintf(stderr, "error: --models entries are name=ckpt; got '%s'\n",
                    entry.c_str());
       return false;
     }
@@ -669,22 +631,8 @@ bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
     spec.name = entry.substr(0, eq);
     spec.path = entry.substr(eq + 1);
     spec.config = config;
-    spec.engine = base;
+    spec.engine.specialize = args.GetInt("specialize", 0) != 0;
     spec.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
-    const size_t colon = spec.path.rfind(':');
-    if (colon != std::string::npos) {
-      const std::string suffix = spec.path.substr(colon + 1);
-      if (suffix == "fp32" || suffix == "int8" || suffix == "bf16") {
-        spec.path = spec.path.substr(0, colon);
-        spec.engine.precision = suffix == "int8"
-                                    ? infer::PrecisionMode::kInt8
-                                    : suffix == "bf16"
-                                          ? infer::PrecisionMode::kBf16
-                                          : infer::PrecisionMode::kFp32;
-        spec.engine.specialize =
-            spec.engine.precision != infer::PrecisionMode::kFp32;
-      }
-    }
     out->push_back(std::move(spec));
   }
   if (out->empty()) {
@@ -875,8 +823,6 @@ int ServeMulti(const Args& args) {
     ropts.probes.push_back(
         loaded->dataset.MakeBatch({test[static_cast<size_t>(p) % test.size()]}));
   }
-  ropts.max_abs_delta =
-      static_cast<float>(args.GetDouble("max-abs-delta", -1.0));
 
   serve::ModelRegistry registry(ropts);
   for (const serve::ModelSpec& spec : specs) {
@@ -1124,14 +1070,13 @@ int Usage() {
       "  predict   --flows FILE --ckpt FILE --index I [--d D] [--k K]\n"
       "  serve     --flows FILE --ckpt FILE [--requests N] [--clients C]\n"
       "            [--max-batch B] [--max-wait-ms W] [--d D] [--k K]\n"
-      "            [--specialize 0|1] [--precision fp32|int8|bf16]\n"
-      "            [--max-abs-delta D] [--trace-out FILE]\n"
+      "            [--specialize 0|1] [--trace-out FILE]\n"
       "            [--metrics-out FILE]\n"
       "            [--obs-port P]  (HTTP /metrics /healthz; 0 = ephemeral,\n"
       "            bound port is printed)  [--postmortem FILE]  (flight-\n"
       "            recorder dump on fatal signal / shadow rejection)\n"
       "            Multi-tenant mode (hot-swap + admission control):\n"
-      "            --models name=ckpt[:precision],...  [--probes N]\n"
+      "            --models name=ckpt,...  [--probes N]\n"
       "            [--hot-swap-watch 0|1] [--watch-interval-ms MS]\n"
       "            [--max-queue Q] [--deadline-ms MS]\n"
       "            [--shed-policy reject|oldest] [--rate-rps R] [--burst B]\n"
@@ -1144,9 +1089,7 @@ int Usage() {
       "            queue + drift status; ?dump=1 dumps the flight recorder)\n"
       "            SIGINT/SIGTERM drain queues, flush telemetry, exit 0.\n"
       "  bench-infer --flows FILE --ckpt FILE [--iters N] [--batch B]\n"
-      "            [--specialize 0|1] [--precision fp32|int8|bf16]\n"
-      "            [--max-abs-delta D] [--calib-batches N]\n"
-      "            [--d D] [--k K] [--out FILE]\n"
+      "            [--specialize 0|1] [--d D] [--k K] [--out FILE]\n"
       "  pipeline  [--datasets bike,taxi,bj] [--models M1,M2,...]\n"
       "            [--cache-dir DIR] [--jobs N] [--explain 0|1]\n"
       "            [--horizon H] [--bucket all|peak|nonpeak|weekday|weekend]\n"

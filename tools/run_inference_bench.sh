@@ -49,11 +49,9 @@ run_point 4 1 200 single_t4
 run_point 1 8 50 batched_t1
 run_point 2 8 50 batched_t2
 run_point 4 8 50 batched_t4
-# Plan-time specialized replay (BN folding + tiled weight repacking) at each
-# precision, single-stream batch 1 — the latency-critical serving shape.
-run_point 1 1 200 spec_fp32 --specialize 1 --precision fp32
-run_point 1 1 200 spec_int8 --precision int8
-run_point 1 1 200 spec_bf16 --precision bf16
+# Plan-time specialized replay (BN folding + tiled weight repacking),
+# single-stream batch 1 — the latency-critical serving shape.
+run_point 1 1 200 spec_fp32 --specialize 1
 
 provenance="$(bench_provenance_json "$repo_root" "$build_dir")"
 
@@ -67,7 +65,7 @@ provenance = json.loads(sys.argv[4])
 points = {}
 for tag in ["single_t1", "single_t2", "single_t4",
             "batched_t1", "batched_t2", "batched_t4",
-            "spec_fp32", "spec_int8", "spec_bf16"]:
+            "spec_fp32"]:
     points[tag] = json.load(open(os.path.join(workdir, tag + ".json")))
 
 single = points["single_t1"]
@@ -93,27 +91,23 @@ doc = {
 doc["batched_scaling_t4_over_t1"] = round(
     doc["batched_throughput_by_threads"][4]
     / doc["batched_throughput_by_threads"][1], 3)
-# Plan-time specialized engines vs the unspecialized fp32 engine, single
+# The plan-time specialized engine vs the unspecialized engine, single
 # stream at batch 1 and one thread. speedup_vs_fp32_engine compares against
 # this script's own single_t1 column (same process shape, different run) so
 # the ratio is between steady-state replays, not against the one-off number
 # the specialized process happened to measure for its base engine.
 fp32_p50 = doc["single_stream_batch1"]["engine_ms"]["p50"]
-doc["specialized_batch1"] = {}
-for prec in ("fp32", "int8", "bf16"):
-    p = points[f"spec_{prec}"]
-    spec = p["specialized"]
-    doc["specialized_batch1"][prec] = {
-        "engine_p50_ms": spec["engine_ms"]["p50"],
-        "engine_p99_ms": spec["engine_ms"]["p99"],
-        "speedup_vs_fp32_engine": round(
-            fp32_p50 / spec["engine_ms"]["p50"], 3),
-        "spec_active": spec["spec_active"],
-        "max_abs_delta": spec["max_abs_delta"],
-        "mae_fp32": spec["mae_fp32"],
-        "mae_spec": spec["mae_spec"],
-        "mae_delta": spec["mae_delta"],
-    }
+spec = points["spec_fp32"]["specialized"]
+doc["specialized_batch1"] = {"fp32": {
+    "engine_p50_ms": spec["engine_ms"]["p50"],
+    "engine_p99_ms": spec["engine_ms"]["p99"],
+    "speedup_vs_fp32_engine": round(fp32_p50 / spec["engine_ms"]["p50"], 3),
+    "spec_active": spec["spec_active"],
+    "max_abs_delta": spec["max_abs_delta"],
+    "mae_fp32": spec["mae_fp32"],
+    "mae_spec": spec["mae_spec"],
+    "mae_delta": spec["mae_delta"],
+}}
 # Batched runs shard the batch across lanes (one pool dispatch per
 # inference), so throughput tracks min(MUSENET_NUM_THREADS, physical
 # cores). Record the core count so the scaling column stays interpretable:
@@ -131,10 +125,9 @@ for t in (1, 2, 4):
           f"{doc['batched_throughput_by_threads'][t]:.1f} samples/s")
 print(f"  t4/t1 batched scaling: {doc['batched_scaling_t4_over_t1']}x "
       f"(host has {hardware_cores} core(s))")
-for prec in ("fp32", "int8", "bf16"):
-    s = doc["specialized_batch1"][prec]
-    print(f"  specialized {prec}: p50 {s['engine_p50_ms']:.3f} ms "
-          f"({s['speedup_vs_fp32_engine']}x vs fp32 engine, "
-          f"active={s['spec_active']}, max_abs_delta={s['max_abs_delta']:g}, "
-          f"mae_delta={s['mae_delta']:g})")
+s = doc["specialized_batch1"]["fp32"]
+print(f"  specialized: p50 {s['engine_p50_ms']:.3f} ms "
+      f"({s['speedup_vs_fp32_engine']}x vs engine, "
+      f"active={s['spec_active']}, max_abs_delta={s['max_abs_delta']:g}, "
+      f"mae_delta={s['mae_delta']:g})")
 PY
