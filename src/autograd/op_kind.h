@@ -10,9 +10,10 @@ namespace musenet::autograd {
 /// `op_name` on a Node is a human label for diagnostics; OpKind is the
 /// contract the inference planner (musenet::infer) compiles against: every
 /// differentiable op in ops.cc tags the node it creates, and the planner maps
-/// each kind to a graph-free kernel. Composite ops record the primitive they
-/// lower to (Neg and MeanAll are kMulScalar over their sub-expression,
-/// Flatten2d is kReshape), so the planner only ever sees this closed set.
+/// each kind a forward pass uses to a graph-free kernel (kSumAll, which only
+/// losses reach, is not planned). Composite ops record the primitive they
+/// lower to (MeanAll and Mean are kMulScalar over a sum, Flatten2d is
+/// kReshape), so the planner only ever sees this closed set.
 enum class OpKind : int16_t {
   kLeaf = 0,       ///< Parameter, constant or input; no producing op.
   kAdd,            ///< Broadcasting elementwise a + b.
@@ -21,32 +22,25 @@ enum class OpKind : int16_t {
   kDiv,            ///< Broadcasting elementwise a / b.
   kAddScalar,      ///< x + attrs.f0.
   kMulScalar,      ///< x · attrs.f0.
-  kBiasAct,        ///< Fused bias + activation; attrs.i0 = Activation, f0 = alpha.
+  kBiasAct,        ///< Fused bias + activation; attrs.i0 = ActKind, f0 = alpha.
   kMulAddFused,    ///< a + b · c, all same shape.
   kExp,
-  kLog,
   kSqrt,
   kTanh,
-  kRelu,
   kLeakyRelu,      ///< attrs.f0 = negative-side slope.
   kSigmoid,
-  kSoftplus,
   kSquare,
-  kAbs,
   kClamp,          ///< attrs.f0 = lo, attrs.f1 = hi.
   kSumAll,         ///< Scalar sum of all elements.
   kSumAxis,        ///< Sum over attrs.i0 (output keeps reduced rank layout).
   kMatMul,         ///< [m,k]·[k,n].
   kMatMulBatched,  ///< [b,m,k]·[b,k,n].
-  kTranspose2d,    ///< [m,n] → [n,m].
   kTransposeLast2, ///< Swap the last two axes of a rank-≥2 tensor.
   kSoftmax,        ///< Softmax over the last axis.
   kConv2d,         ///< attrs.i0 = stride, attrs.i1 = pad.
   kReshape,        ///< Same elements, new shape (alias in the planner).
   kConcat,         ///< Concatenate inputs along attrs.i0.
   kSlice,          ///< attrs.i0 = axis, i1 = start, i2 = len.
-  kAvgPool,        ///< attrs.i0 = square window.
-  kMaxPool,        ///< attrs.i0 = square window.
 };
 
 /// Scalar attributes accompanying an OpKind (see the per-kind comments).

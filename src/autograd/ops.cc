@@ -68,11 +68,6 @@ void AccumulateBroadcast(Node& target, ts::Tensor&& g) {
   }
 }
 
-void AccumulateIfNeeded(Node& target, const ts::Tensor& g) {
-  if (!target.requires_grad) return;
-  AccumulateGrad(target, g);
-}
-
 void AccumulateIfNeeded(Node& target, ts::Tensor&& g) {
   if (!target.requires_grad) return;
   AccumulateGrad(target, std::move(g));
@@ -140,18 +135,10 @@ Variable MulScalar(const Variable& a, float s) {
       {.f0 = s});
 }
 
-Variable Neg(const Variable& a) { return MulScalar(a, -1.0f); }
-
 Variable Exp(const Variable& a) {
   // d exp(x) = exp(x) = the node's own value (valid until ReleaseGraph).
   return MakeOp("exp", OpKind::kExp, ts::Exp(a.value()), {a}, [](Node& n) {
     AccumulateIfNeeded(*n.inputs[0], ts::Mul(n.grad, n.value));
-  });
-}
-
-Variable Log(const Variable& a) {
-  return MakeOp("log", OpKind::kLog, ts::Log(a.value()), {a}, [](Node& n) {
-    AccumulateIfNeeded(*n.inputs[0], ts::Div(n.grad, n.inputs[0]->value));
   });
 }
 
@@ -171,15 +158,6 @@ Variable Tanh(const Variable& a) {
     // chain (bit-identical — see fused_ops.cc).
     AccumulateIfNeeded(*n.inputs[0], ts::ActBackwardFromOutput(
                                          n.grad, n.value, ts::ActKind::kTanh));
-  });
-}
-
-Variable Relu(const Variable& a) {
-  return MakeOp("relu", OpKind::kRelu, ts::Relu(a.value()), {a},
-                [](Node& n) {
-    // out > 0 ⟺ in > 0, so the mask can read the output.
-    AccumulateIfNeeded(*n.inputs[0], ts::ActBackwardFromOutput(
-                                         n.grad, n.value, ts::ActKind::kRelu));
   });
 }
 
@@ -205,34 +183,11 @@ Variable Sigmoid(const Variable& a) {
   });
 }
 
-Variable Softplus(const Variable& a) {
-  return MakeOp("softplus", OpKind::kSoftplus, ts::Softplus(a.value()), {a},
-                [](Node& n) {
-    AccumulateIfNeeded(*n.inputs[0],
-                       ts::SoftplusBackward(n.grad, n.inputs[0]->value));
-  });
-}
-
 Variable Square(const Variable& a) {
   return MakeOp("square", OpKind::kSquare, ts::Square(a.value()), {a},
                 [](Node& n) {
     AccumulateIfNeeded(*n.inputs[0],
                        ts::SquareBackward(n.grad, n.inputs[0]->value));
-  });
-}
-
-Variable Abs(const Variable& a) {
-  return MakeOp("abs", OpKind::kAbs, ts::Abs(a.value()), {a}, [](Node& n) {
-    const ts::Tensor& in = n.inputs[0]->value;
-    ts::Tensor g = ts::Tensor::Uninitialized(in.shape());
-    const float* pin = in.data();
-    const float* pg = n.grad.data();
-    float* po = g.mutable_data();
-    const int64_t count = in.num_elements();
-    for (int64_t i = 0; i < count; ++i) {
-      po[i] = pin[i] > 0.0f ? pg[i] : (pin[i] < 0.0f ? -pg[i] : 0.0f);
-    }
-    AccumulateIfNeeded(*n.inputs[0], std::move(g));
   });
 }
 
@@ -353,13 +308,6 @@ Variable MatMulBatched(const Variable& a, const Variable& b) {
       });
 }
 
-Variable Transpose2d(const Variable& a) {
-  return MakeOp("transpose2d", OpKind::kTranspose2d,
-                ts::Transpose2d(a.value()), {a}, [](Node& n) {
-    AccumulateIfNeeded(*n.inputs[0], ts::Transpose2d(n.grad));
-  });
-}
-
 Variable TransposeLast2(const Variable& a) {
   return MakeOp("transpose_last2", OpKind::kTransposeLast2,
                 ts::TransposeLast2(a.value()), {a},
@@ -465,50 +413,6 @@ Variable Slice(const Variable& a, int axis, int64_t start, int64_t len) {
         AccumulateGrad(*n.inputs[0], g);
       },
       {.i0 = axis, .i1 = start, .i2 = len});
-}
-
-Variable AvgPool2d(const Variable& a, int64_t window) {
-  ts::Tensor out = ts::AvgPool2d(a.value(), window);
-  return MakeOp("avg_pool2d", OpKind::kAvgPool, std::move(out), {a},
-                [window](Node& n) {
-    // Each input element receives grad/out · 1/window².
-    const ts::Shape& in_shape = n.inputs[0]->value.shape();
-    ts::Tensor g = ts::Tensor::Uninitialized(in_shape);
-    const int64_t h = in_shape.dim(2);
-    const int64_t w = in_shape.dim(3);
-    const int64_t ow = w / window;
-    const int64_t planes = in_shape.dim(0) * in_shape.dim(1);
-    const float inv = 1.0f / static_cast<float>(window * window);
-    const float* pg = n.grad.data();
-    float* po = g.mutable_data();
-    for (int64_t p = 0; p < planes; ++p) {
-      for (int64_t y = 0; y < h; ++y) {
-        for (int64_t x = 0; x < w; ++x) {
-          po[(p * h + y) * w + x] =
-              pg[(p * (h / window) + y / window) * ow + x / window] * inv;
-        }
-      }
-    }
-    AccumulateIfNeeded(*n.inputs[0], g);
-  },
-  {.i0 = window});
-}
-
-Variable MaxPool2d(const Variable& a, int64_t window) {
-  auto argmax = std::make_shared<std::vector<int64_t>>();
-  ts::Tensor out = ts::MaxPool2d(a.value(), window, argmax.get());
-  return MakeOp(
-      "max_pool2d", OpKind::kMaxPool, std::move(out), {a},
-      [argmax](Node& n) {
-        ts::Tensor g(n.inputs[0]->value.shape());
-        float* po = g.mutable_data();
-        const float* pg = n.grad.data();
-        for (size_t i = 0; i < argmax->size(); ++i) {
-          po[(*argmax)[i]] += pg[static_cast<int64_t>(i)];
-        }
-        AccumulateIfNeeded(*n.inputs[0], g);
-      },
-      {.i0 = window});
 }
 
 }  // namespace musenet::autograd

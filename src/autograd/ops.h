@@ -31,8 +31,7 @@ Variable MulScalar(const Variable& a, float s);
 
 /// act(x + bias) as one node/kernel. Bit-identical to
 /// ApplyActivation(Add(x, bias)); `bias` must broadcast against `x` with at
-/// most one non-unit axis. Softplus is not representable here (its derivative
-/// needs the pre-activation, which the fused node never materializes).
+/// most one non-unit axis.
 Variable BiasActivation(const Variable& x, const Variable& bias,
                         tensor::ActKind act, float alpha = 0.1f);
 
@@ -42,18 +41,13 @@ Variable FusedMulAdd(const Variable& a, const Variable& b, const Variable& c);
 
 // --- Elementwise unary -------------------------------------------------------
 
-Variable Neg(const Variable& a);
 Variable Exp(const Variable& a);
-Variable Log(const Variable& a);
 Variable Sqrt(const Variable& a);
 Variable Tanh(const Variable& a);
-Variable Relu(const Variable& a);
 /// LeakyReLU with negative slope `alpha`.
 Variable LeakyRelu(const Variable& a, float alpha = 0.1f);
 Variable Sigmoid(const Variable& a);
-Variable Softplus(const Variable& a);
 Variable Square(const Variable& a);
-Variable Abs(const Variable& a);
 /// Clamp with straight-through gradient inside [lo, hi], zero outside.
 Variable Clamp(const Variable& a, float lo, float hi);
 
@@ -68,7 +62,6 @@ Variable Mean(const Variable& a, int axis, bool keepdims = false);
 
 Variable MatMul(const Variable& a, const Variable& b);
 Variable MatMulBatched(const Variable& a, const Variable& b);
-Variable Transpose2d(const Variable& a);
 Variable TransposeLast2(const Variable& a);
 Variable SoftmaxLastAxis(const Variable& a);
 
@@ -86,11 +79,6 @@ Variable Flatten2d(const Variable& a);  ///< [B, ...] → [B, rest].
 Variable Concat(const std::vector<Variable>& parts, int axis);
 Variable Slice(const Variable& a, int axis, int64_t start, int64_t len);
 
-/// Non-overlapping average pooling over the last two axes of [B,C,H,W].
-Variable AvgPool2d(const Variable& a, int64_t window);
-/// Non-overlapping max pooling; gradient routes to the argmax element.
-Variable MaxPool2d(const Variable& a, int64_t window);
-
 // --- Convenience operators (thin wrappers over the functions above) ----------
 
 inline Variable operator+(const Variable& a, const Variable& b) {
@@ -105,7 +93,6 @@ inline Variable operator*(const Variable& a, const Variable& b) {
 inline Variable operator/(const Variable& a, const Variable& b) {
   return Div(a, b);
 }
-inline Variable operator-(const Variable& a) { return Neg(a); }
 
 }  // namespace musenet::autograd
 

@@ -13,7 +13,7 @@ namespace musenet::eval {
 // partition the batch dimension across the pool, and the GEMM row-partitions
 // each sample's work (see DESIGN.md "Performance substrate"). The epoch loop
 // itself stays sequential — gradient accumulation into shared parameter
-// nodes and the per-model dropout RNG stream are ordered state — so this
+// nodes and the per-model RNG streams are ordered state — so this
 // file parallelizes only the order-free dense reductions below.
 
 std::vector<int64_t> ShuffleEpochPool(const std::vector<int64_t>& pool,

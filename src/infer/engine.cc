@@ -49,7 +49,7 @@ void Engine::FinalizeInstance(PlanInstance* inst) {
 
 bool Engine::BuildInstance(const data::Batch& batch, PlanInstance* inst) {
   // One-time planning pass: put the model in eval mode (deterministic
-  // BN/dropout behavior — also what Predict uses), trace the forward with
+  // BN behavior — also what Predict uses), trace the forward with
   // the graph intact, and compile it.
   obs::ScopedSpan span("infer.plan.build", "batch", batch.batch_size());
   if (auto* module = dynamic_cast<nn::Module*>(&model_)) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #if defined(__AVX512F__)
 #include <immintrin.h>
@@ -180,9 +179,6 @@ void RunBiasAct(const Step& step, float* const* bufs) {
         case ts::ActKind::kIdentity:
           po[i] = pre;
           break;
-        case ts::ActKind::kRelu:
-          po[i] = pre > 0.0f ? pre : 0.0f;
-          break;
         case ts::ActKind::kLeakyRelu:
           po[i] = pre > 0.0f ? pre : alpha * pre;
           break;
@@ -195,21 +191,6 @@ void RunBiasAct(const Step& step, float* const* bufs) {
       }
     }
   });
-}
-
-void RunSumAll(const Step& step, float* const* bufs) {
-  // Same summation tree as tensor_ops::SumAll (fixed kParallelGrain chunk
-  // partials combined in chunk order), evaluated without the partial vector.
-  const float* pa = bufs[step.in[0]];
-  const int64_t n = step.geom.n;
-  double total = 0.0;
-  for (int64_t lo = 0; lo < n; lo += ts::kParallelGrain) {
-    const int64_t hi = std::min(n, lo + ts::kParallelGrain);
-    double acc = 0.0;
-    for (int64_t i = lo; i < hi; ++i) acc += pa[i];
-    total += acc;
-  }
-  bufs[step.out][0] = static_cast<float>(total);
 }
 
 void RunSumAxis(const Step& step, float* const* bufs) {
@@ -311,17 +292,6 @@ void RunConv2d(const Step& step, float* const* bufs) {
   });
 }
 
-void RunTranspose2d(const Step& step, float* const* bufs) {
-  const StepGeom& geom = step.geom;
-  const float* pa = bufs[step.in[0]];
-  float* po = bufs[step.out];
-  for (int64_t i = 0; i < geom.m; ++i) {
-    for (int64_t j = 0; j < geom.cols; ++j) {
-      po[j * geom.m + i] = pa[i * geom.cols + j];
-    }
-  }
-}
-
 void RunTransposeLast2(const Step& step, float* const* bufs) {
   const StepGeom& geom = step.geom;
   const float* pa = bufs[step.in[0]];
@@ -366,56 +336,10 @@ void RunSlice(const Step& step, float* const* bufs) {
   }
 }
 
-void RunAvgPool(const Step& step, float* const* bufs) {
-  const StepGeom& geom = step.geom;
-  const float* pa = bufs[step.in[0]];
-  float* po = bufs[step.out];
-  const int64_t window = geom.window;
-  const float inv = 1.0f / static_cast<float>(window * window);
-  for (int64_t p = 0; p < geom.batch; ++p) {
-    for (int64_t oy = 0; oy < geom.oh; ++oy) {
-      for (int64_t ox = 0; ox < geom.ow; ++ox) {
-        double acc = 0.0;
-        for (int64_t ky = 0; ky < window; ++ky) {
-          for (int64_t kx = 0; kx < window; ++kx) {
-            acc += pa[(p * geom.h + oy * window + ky) * geom.w +
-                      ox * window + kx];
-          }
-        }
-        po[(p * geom.oh + oy) * geom.ow + ox] =
-            static_cast<float>(acc) * inv;
-      }
-    }
-  }
-}
-
-void RunMaxPool(const Step& step, float* const* bufs) {
-  const StepGeom& geom = step.geom;
-  const float* pa = bufs[step.in[0]];
-  float* po = bufs[step.out];
-  const int64_t window = geom.window;
-  for (int64_t p = 0; p < geom.batch; ++p) {
-    for (int64_t oy = 0; oy < geom.oh; ++oy) {
-      for (int64_t ox = 0; ox < geom.ow; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int64_t ky = 0; ky < window; ++ky) {
-          for (int64_t kx = 0; kx < window; ++kx) {
-            best = std::max(best, pa[(p * geom.h + oy * window + ky) *
-                                         geom.w + ox * window + kx]);
-          }
-        }
-        po[(p * geom.oh + oy) * geom.ow + ox] = best;
-      }
-    }
-  }
-}
-
 inline float ApplyActScalar(float v, ts::ActKind act, float alpha) {
   switch (act) {
     case ts::ActKind::kIdentity:
       return v;
-    case ts::ActKind::kRelu:
-      return v > 0.0f ? v : 0.0f;
     case ts::ActKind::kLeakyRelu:
       return v > 0.0f ? v : alpha * v;
     case ts::ActKind::kTanh:
@@ -435,12 +359,6 @@ inline void BiasActRow(float* row, int64_t n, float bias, ts::ActKind act,
   switch (act) {
     case ts::ActKind::kIdentity:
       for (int64_t o = 0; o < n; ++o) row[o] += bias;
-      break;
-    case ts::ActKind::kRelu:
-      for (int64_t o = 0; o < n; ++o) {
-        const float v = row[o] + bias;
-        row[o] = v > 0.0f ? v : 0.0f;
-      }
       break;
     case ts::ActKind::kLeakyRelu:
       for (int64_t o = 0; o < n; ++o) {
@@ -462,12 +380,6 @@ inline void BiasActRowPerCol(float* row, const float* bias, int64_t n,
     case ts::ActKind::kIdentity:
       for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
       break;
-    case ts::ActKind::kRelu:
-      for (int64_t j = 0; j < n; ++j) {
-        const float v = row[j] + bias[j];
-        row[j] = v > 0.0f ? v : 0.0f;
-      }
-      break;
     case ts::ActKind::kLeakyRelu:
       for (int64_t j = 0; j < n; ++j) {
         const float v = row[j] + bias[j];
@@ -483,74 +395,24 @@ inline void BiasActRowPerCol(float* row, const float* bias, int64_t n,
 
 // --- Specialized replay (SpecializePlan rewrites) --------------------------
 //
-// The tiled kernels drive the exported GEMM micro-kernel over pre-tiled
+// The dense kernel drives the exported GEMM micro-kernel over pre-tiled
 // weights: K-panels ascend, k ascends within a panel, so the accumulation
 // chain per output element matches GemmAccF32's exactly (fp32 repacking is
 // therefore numerically invisible); the direct conv kernel below reproduces
-// the same panel grouping without the column matrix, so specialized replay
+// the same panel grouping without a column matrix, so specialized replay
 // stays deterministic and thread-count independent.
-
-void RunConvPacked(const Step& step, float* const* bufs, const Plan& plan) {
-  const StepGeom& geom = step.geom;
-  const PackedWeight& pw = plan.packed_weights[step.packed];
-  const float* pin = bufs[step.in[0]];
-  float* po = bufs[step.out];
-  float* scratch = bufs[step.scratch];
-  const int64_t kdim = geom.cin * geom.kh * geom.kw;
-  const int64_t osp = geom.oh * geom.ow;
-  const int64_t stride = step.attrs.i0;
-  const int64_t pad = step.attrs.i1;
-  const ts::GemmTile tile = ts::GemmTileShape();
-  const int64_t mr = tile.mr;
-  const int64_t nr = tile.nr;
-  const int64_t ceil_osp = (osp + nr - 1) / nr * nr;
-  const auto act = static_cast<ts::ActKind>(step.spec_act);
-  std::memset(po, 0, sizeof(float) * static_cast<size_t>(
-                         geom.batch * geom.cout * osp));
-  util::ActivePool().ParallelFor(0, geom.batch, 1,
-                                 [&](int64_t b0, int64_t b1) {
-    for (int64_t b = b0; b < b1; ++b) {
-      float* col = scratch + b * geom.col_elems;
-      ts::Im2colPackedTiles(pin + b * geom.cin * geom.h * geom.w, geom.cin,
-                            geom.h, geom.w, geom.kh, geom.kw, stride, pad,
-                            geom.oh, geom.ow, col);
-      float* cbase = po + b * geom.cout * osp;
-      for (int64_t kp = 0; kp < kdim; kp += ts::kGemmKc) {
-        const int64_t kc = std::min(ts::kGemmKc, kdim - kp);
-        const float* bpanel = col + kp * ceil_osp;
-        for (int64_t i0 = 0; i0 < geom.cout; i0 += mr) {
-          const int64_t mr_eff = std::min(mr, geom.cout - i0);
-          // The weight is the GEMM's A operand.
-          const float* ap = pw.f32.data() + i0 * kdim + kp * mr;
-          for (int64_t js = 0; js < osp; js += nr) {
-            ts::GemmMicroKernelAcc(ap, /*a_rs=*/1, /*a_ks=*/mr,
-                                   bpanel + (js / nr) * kc * nr,
-                                   cbase + i0 * osp + js, osp, mr_eff,
-                                   std::min(nr, osp - js), kc);
-          }
-        }
-      }
-      if (pw.has_epilogue) {
-        for (int64_t c = 0; c < geom.cout; ++c) {
-          BiasActRow(cbase + c * osp, osp, pw.bias[c], act, step.spec_alpha);
-        }
-      }
-    }
-  });
-}
 
 // --- Direct (im2col-free) conv replay --------------------------------------
 //
-// For stride-1 convs the packed column matrix is pure overhead: building it
-// writes kh·kw shifted copies of every input pixel through a lane-wrapping
-// strip layout, and at serving shapes that costs more than the GEMM it
-// feeds. The direct kernel instead zero-pads each input image once
-// (cin·h·(w + 2·pad) floats plus a read-slack margin) and broadcasts
-// weights against shifted input rows, holding an RT × kDirectChunk
-// accumulator block in registers. Accumulators flush into the output at
-// every kGemmKc k-boundary — the same K-panel grouping GemmDriver uses — so
-// every output element sees the exact accumulation chain of the tiled path
-// and fp32 replay stays bit-identical to it.
+// Specialized stride-1 convs skip the column matrix: building it writes
+// kh·kw shifted copies of every input pixel, and at serving shapes that
+// costs more than the GEMM it feeds. The direct kernel instead zero-pads
+// each input image once (cin·h·(w + 2·pad) floats plus a read-slack margin)
+// and broadcasts weights against shifted input rows, holding an
+// RT × kDirectChunk accumulator block in registers. Accumulators flush into
+// the output at every kGemmKc k-boundary — the same K-panel grouping
+// GemmDriver uses — so every output element sees the exact accumulation
+// chain of the im2col GEMM.
 
 #if defined(__AVX512F__)
 constexpr int64_t kDirectChunk = 16;  // One 16-lane register per acc row.
@@ -807,9 +669,6 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
   switch (step.spec) {
     case SpecKind::kNone:
       break;
-    case SpecKind::kConvPacked:
-      RunConvPacked(step, bufs, plan);
-      return;
     case SpecKind::kConvDirect:
       RunConvDirect(step, bufs, plan);
       return;
@@ -856,17 +715,11 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
     case ag::OpKind::kExp:
       UnaryMap(step, bufs, [](float x) { return std::exp(x); });
       break;
-    case ag::OpKind::kLog:
-      UnaryMap(step, bufs, [](float x) { return std::log(x); });
-      break;
     case ag::OpKind::kSqrt:
       UnaryMap(step, bufs, [](float x) { return std::sqrt(x); });
       break;
     case ag::OpKind::kTanh:
       UnaryMap(step, bufs, [](float x) { return std::tanh(x); });
-      break;
-    case ag::OpKind::kRelu:
-      UnaryMap(step, bufs, [](float x) { return x > 0.0f ? x : 0.0f; });
       break;
     case ag::OpKind::kLeakyRelu: {
       const float alpha = step.attrs.f0;
@@ -877,16 +730,8 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
     case ag::OpKind::kSigmoid:
       UnaryMap(step, bufs, [](float x) { return ts::SigmoidScalar(x); });
       break;
-    case ag::OpKind::kSoftplus:
-      UnaryMap(step, bufs, [](float x) {
-        return std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
-      });
-      break;
     case ag::OpKind::kSquare:
       UnaryMap(step, bufs, [](float x) { return x * x; });
-      break;
-    case ag::OpKind::kAbs:
-      UnaryMap(step, bufs, [](float x) { return std::fabs(x); });
       break;
     case ag::OpKind::kClamp: {
       const float lo = step.attrs.f0;
@@ -896,9 +741,6 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
       });
       break;
     }
-    case ag::OpKind::kSumAll:
-      RunSumAll(step, bufs);
-      break;
     case ag::OpKind::kSumAxis:
       RunSumAxis(step, bufs);
       break;
@@ -907,9 +749,6 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
       break;
     case ag::OpKind::kMatMulBatched:
       RunMatMulBatched(step, bufs);
-      break;
-    case ag::OpKind::kTranspose2d:
-      RunTranspose2d(step, bufs);
       break;
     case ag::OpKind::kTransposeLast2:
       RunTransposeLast2(step, bufs);
@@ -926,14 +765,9 @@ void RunStep(const Step& step, float* const* bufs, const Plan& plan) {
     case ag::OpKind::kSlice:
       RunSlice(step, bufs);
       break;
-    case ag::OpKind::kAvgPool:
-      RunAvgPool(step, bufs);
-      break;
-    case ag::OpKind::kMaxPool:
-      RunMaxPool(step, bufs);
-      break;
     case ag::OpKind::kLeaf:
     case ag::OpKind::kReshape:
+    case ag::OpKind::kSumAll:
       MUSE_CHECK(false) << "non-executable step kind for op "
                         << step.op_name;
       break;

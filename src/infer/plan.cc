@@ -228,15 +228,11 @@ Result<Plan> BuildPlan(const ag::Variable& root, const data::Batch& batch) {
       case ag::OpKind::kAddScalar:
       case ag::OpKind::kMulScalar:
       case ag::OpKind::kExp:
-      case ag::OpKind::kLog:
       case ag::OpKind::kSqrt:
       case ag::OpKind::kTanh:
-      case ag::OpKind::kRelu:
       case ag::OpKind::kLeakyRelu:
       case ag::OpKind::kSigmoid:
-      case ag::OpKind::kSoftplus:
       case ag::OpKind::kSquare:
-      case ag::OpKind::kAbs:
       case ag::OpKind::kClamp:
       case ag::OpKind::kMulAddFused:
         geom.n = node->value.num_elements();
@@ -245,9 +241,6 @@ Result<Plan> BuildPlan(const ag::Variable& root, const data::Batch& batch) {
         geom.n = node->value.num_elements();
         BiasLayoutInto(in_shape(0), in_shape(1), &geom.channels,
                        &geom.bias_inner);
-        break;
-      case ag::OpKind::kSumAll:
-        geom.n = node->inputs[0]->value.num_elements();
         break;
       case ag::OpKind::kSumAxis:
         AxisDecompose(in_shape(0), static_cast<int>(node->attrs.i0),
@@ -272,10 +265,6 @@ Result<Plan> BuildPlan(const ag::Variable& root, const data::Batch& batch) {
         plan.flops += 2 * geom.batch * geom.m * geom.cols * geom.k;
         break;
       }
-      case ag::OpKind::kTranspose2d:
-        geom.m = in_shape(0).dim(0);
-        geom.cols = in_shape(0).dim(1);
-        break;
       case ag::OpKind::kTransposeLast2:
         geom.batch = in_shape(0).dim(0);
         geom.m = in_shape(0).dim(1);
@@ -319,15 +308,6 @@ Result<Plan> BuildPlan(const ag::Variable& root, const data::Batch& batch) {
       case ag::OpKind::kSlice:
         AxisDecompose(in_shape(0), static_cast<int>(node->attrs.i0),
                       &geom.outer, &geom.mid, &geom.inner);
-        break;
-      case ag::OpKind::kAvgPool:
-      case ag::OpKind::kMaxPool:
-        geom.batch = in_shape(0).dim(0) * in_shape(0).dim(1);  // Planes.
-        geom.h = in_shape(0).dim(2);
-        geom.w = in_shape(0).dim(3);
-        geom.window = node->attrs.i0;
-        geom.oh = geom.h / geom.window;
-        geom.ow = geom.w / geom.window;
         break;
       default:
         return Status::InvalidArgument(

@@ -55,10 +55,9 @@ struct StepGeom {
   int64_t mid = 0;    ///< slice); `mid` is the axis extent.
   int64_t inner = 0;
   int64_t m = 0, k = 0, cols = 0;  ///< GEMM dims (cols = n of the GEMM).
-  int64_t batch = 0;               ///< Batched matmul / conv / pools.
+  int64_t batch = 0;               ///< Batched matmul / conv.
   int64_t cin = 0, h = 0, w = 0;   ///< Conv input planes.
   int64_t cout = 0, kh = 0, kw = 0, oh = 0, ow = 0;
-  int64_t window = 0;              ///< Pooling window.
   int64_t channels = 1, bias_inner = 1;  ///< BiasAct layout.
   int64_t col_elems = 0;   ///< Conv: per-sample im2col matrix size.
   int64_t pack_elems = 0;  ///< Per-sample GEMM pack scratch size.
@@ -77,19 +76,15 @@ struct StepGeom {
 /// kernel for its OpKind.
 enum class SpecKind : uint8_t {
   kNone,
-  kConvPacked,   ///< Conv2d with pre-tiled weights + folded bias/act.
   kConvDirect,   ///< Stride-1 Conv2d, im2col-free direct kernel.
   kDensePacked,  ///< MatMul with pre-tiled weights + folded bias/act.
 };
 
-/// One plan-time repacked fp32 weight. `f32` is the GEMM tile layout
-/// (GemmPackATiles for conv — weight is the A operand of the im2col GEMM —
-/// GemmPackBTiles for dense), with BN/affine chains already folded in.
-/// Stride-1 convs use the direct layout instead (`direct` set):
-/// `wd[kk * cout + r]` with kk = (ci·kh + ky)·kw + kx, the same k order the
-/// im2col GEMM reduces in.
+/// One plan-time repacked fp32 weight, with BN/affine chains already folded
+/// in. `f32` is the GemmPackBTiles layout for dense, and the direct layout
+/// `wd[kk * cout + r]` for conv, with kk = (ci·kh + ky)·kw + kx, the same
+/// k order the im2col GEMM reduces in.
 struct PackedWeight {
-  bool direct = false;  ///< Direct-conv layout instead of GEMM tiles.
   std::vector<float> f32;
   std::vector<float> bias;  ///< Folded per-channel shift (β − μ·γ/σ, +bias).
   bool has_epilogue = false;  ///< Any nonzero bias or non-identity act.

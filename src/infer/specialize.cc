@@ -217,10 +217,6 @@ ChainFold WalkChain(const Plan& plan, const std::vector<bool>& live,
         terminal = true;
         break;
       }
-      case ag::OpKind::kRelu:
-        fold.act = static_cast<int32_t>(ts::ActKind::kRelu);
-        terminal = true;
-        break;
       case ag::OpKind::kLeakyRelu:
         fold.act = static_cast<int32_t>(ts::ActKind::kLeakyRelu);
         fold.alpha = step.attrs.f0;
@@ -245,11 +241,10 @@ ChainFold WalkChain(const Plan& plan, const std::vector<bool>& live,
   return fold;
 }
 
-/// Packs `w` ([rows, cols] row-major; conv A operand or dense B operand,
-/// already scaled) into the GEMM tile layout of that operand.
-PackedWeight PackMatrix(const std::vector<float>& w, int64_t rows,
-                        int64_t cols, bool as_a_operand,
-                        std::vector<float> bias, int32_t act) {
+/// Packs a dense weight (`w` is the [k, n] row-major B operand, already
+/// scaled) into the GEMM's B tile layout.
+PackedWeight PackDense(const std::vector<float>& w, int64_t k, int64_t n,
+                       std::vector<float> bias, int32_t act) {
   PackedWeight pw;
   pw.bias = std::move(bias);
   bool any_bias = false;
@@ -257,25 +252,19 @@ PackedWeight PackMatrix(const std::vector<float>& w, int64_t rows,
   pw.has_epilogue =
       any_bias || act != static_cast<int32_t>(ts::ActKind::kIdentity);
 
-  if (as_a_operand) {
-    pw.f32.resize(static_cast<size_t>(ts::GemmPackedAElems(rows, cols)));
-    ts::GemmPackATiles(rows, cols, w.data(), cols, pw.f32.data());
-  } else {
-    pw.f32.resize(static_cast<size_t>(ts::GemmPackedBElems(rows, cols)));
-    ts::GemmPackBTiles(rows, cols, w.data(), cols, pw.f32.data());
-  }
+  pw.f32.resize(static_cast<size_t>(ts::GemmPackedBElems(k, n)));
+  ts::GemmPackBTiles(k, n, w.data(), n, pw.f32.data());
   return pw;
 }
 
 /// Packs a conv weight (`w` is [cout, kdim] row-major, already scaled) into
 /// the direct-conv layout wd[kk·cout + r] — kk ascends in im2col row order
 /// (ci, ky, kx), so the direct kernel reduces in the exact k order of the
-/// tiled GEMM.
+/// im2col GEMM.
 PackedWeight PackConvDirect(const std::vector<float>& w, int64_t cout,
                             int64_t kdim, std::vector<float> bias,
                             int32_t act) {
   PackedWeight pw;
-  pw.direct = true;
   pw.bias = std::move(bias);
   bool any_bias = false;
   for (const float b : pw.bias) any_bias = any_bias || b != 0.0f;
@@ -329,7 +318,6 @@ Status SpecializePlan(Plan* plan) {
     std::vector<float> shift;
     int32_t act;
     float alpha;
-    bool direct;
     int32_t index;
   };
   std::map<int32_t, std::vector<CacheEntry>> packed_cache;
@@ -340,6 +328,9 @@ Status SpecializePlan(Plan* plan) {
       continue;
     }
     const bool is_conv = step.kind == ag::OpKind::kConv2d;
+    // A strided conv keeps its generic im2col step: only stride 1 has a
+    // specialized kernel.
+    if (is_conv && step.attrs.i0 != 1) continue;
     const int32_t w_idx = ResolveBase(*plan, step.in[1]);
     const PlanBuffer& w_buf = plan->buffers[w_idx];
     if (w_buf.loc != BufLoc::kConstant) continue;
@@ -366,63 +357,43 @@ Status SpecializePlan(Plan* plan) {
       }
     }
 
-    // Stride-1 convs replay through the im2col-free direct kernel; strided
-    // convs keep the packed-tile GEMM path.
-    const bool direct = is_conv && step.attrs.i0 == 1;
-
     // Dedup: reuse an existing payload when the same weight buffer folded
-    // with an identical (scale, shift, act, layout) tuple.
+    // with an identical (scale, shift, act) tuple.
     int32_t packed_index = -1;
     for (const CacheEntry& entry : packed_cache[w_idx]) {
       if (entry.scale == fold.scale && entry.shift == fold.shift &&
-          entry.act == fold.act && entry.alpha == fold.alpha &&
-          entry.direct == direct) {
+          entry.act == fold.act && entry.alpha == fold.alpha) {
         packed_index = entry.index;
         break;
       }
     }
     if (packed_index < 0) {
       plan->packed_weights.push_back(
-          direct ? PackConvDirect(w, channels, kdim, fold.shift, fold.act)
-                 : PackMatrix(w, is_conv ? channels : kdim,
-                              is_conv ? kdim : channels,
-                              /*as_a_operand=*/is_conv, fold.shift,
-                              fold.act));
+          is_conv ? PackConvDirect(w, channels, kdim, fold.shift, fold.act)
+                  : PackDense(w, kdim, channels, fold.shift, fold.act));
       packed_index = static_cast<int32_t>(plan->packed_weights.size() - 1);
       packed_cache[w_idx].push_back(
-          {fold.scale, fold.shift, fold.act, fold.alpha, direct,
-           packed_index});
+          {fold.scale, fold.shift, fold.act, fold.alpha, packed_index});
     }
 
     // Rewrite the step in place: spec kernel, weight input dropped, output
     // retargeted to the chain's final buffer so downstream steps are
     // untouched. Absorbed steps die; their intermediates go dead with them.
-    step.spec = direct ? SpecKind::kConvDirect
-                       : (is_conv ? SpecKind::kConvPacked
-                                  : SpecKind::kDensePacked);
-    step.op_name = direct ? "infer.conv_direct"
-                          : (is_conv ? "infer.conv_packed"
-                                     : "infer.dense_packed");
+    step.spec = is_conv ? SpecKind::kConvDirect : SpecKind::kDensePacked;
+    step.op_name = is_conv ? "infer.conv_direct" : "infer.dense_packed";
     step.packed = packed_index;
     step.spec_act = fold.act;
     step.spec_alpha = fold.alpha;
     step.in.resize(1);
     step.out = fold.final_out;
     for (const size_t t : fold.absorbed) live[t] = false;
-    if (direct) {
+    if (is_conv) {
       // Scratch holds one padded input image per sample; im2col and PackB
       // scratch are gone.
       step.geom.col_elems = 0;
       step.geom.pack_elems = 0;
       plan->buffers[step.scratch].elems =
           DirectConvScratchElems(step.geom, step.attrs.i1);
-    } else if (is_conv) {
-      // Replay im2cols straight into the packed-B tile layout; the separate
-      // per-call PackB scratch is gone.
-      const int64_t osp = step.geom.oh * step.geom.ow;
-      step.geom.col_elems = ts::GemmPackedBElems(kdim, osp);
-      step.geom.pack_elems = 0;
-      plan->buffers[step.scratch].elems = step.geom.batch * step.geom.col_elems;
     } else if (step.scratch >= 0) {
       step.scratch = -1;  // Pre-packed B: no per-call pack scratch at all.
     }

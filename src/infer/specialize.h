@@ -18,15 +18,15 @@ namespace musenet::infer {
 //  2. Constant folding — any step whose inputs are all constants is executed
 //     once now and its output baked (this collapses the eval-mode BN
 //     1/sqrt(var+eps) chain to a single per-channel vector).
-//  3. Affine folding + repacking — for each Conv2d / MatMul with a constant
-//     weight, the single-consumer chain of per-channel/scalar Add/Sub/Mul/
-//     Div/AddScalar/MulScalar steps (the folded BN affine, bias adds), an
-//     optional BiasAct, and one trailing activation are absorbed into the
-//     weight (W' = W·scale per output channel, bias = shift) and a fused
-//     epilogue; the weight is then packed into the GEMM micro-kernel's tile
-//     layout (A-tiles for conv, B-tiles for dense). The step becomes
-//     kConvPacked / kDensePacked writing directly to the chain's final
-//     output buffer.
+//  3. Affine folding + repacking — for each stride-1 Conv2d / MatMul with a
+//     constant weight, the single-consumer chain of per-channel/scalar Add/
+//     Sub/Mul/Div/AddScalar/MulScalar steps (the folded BN affine, bias
+//     adds), an optional BiasAct, and one trailing activation are absorbed
+//     into the weight (W' = W·scale per output channel, bias = shift) and a
+//     fused epilogue; the weight is then repacked for its kernel (the direct
+//     conv layout, or the GEMM micro-kernel's B tiles for dense). The step
+//     becomes kConvDirect / kDensePacked writing directly to the chain's
+//     final output buffer. A strided conv keeps its generic step.
 //  4. Re-layout — dead steps are dropped, dead constants freed, flops
 //     recomputed, and the arena re-laid-out over the new lifetimes.
 //

@@ -115,7 +115,7 @@ class MuseNet : public nn::Module, public eval::Forecaster {
 
   MuseNetConfig config_;
   std::string name_ = "MUSE-Net";
-  Rng rng_;  ///< Reparameterization noise + dropout-style randomness.
+  Rng rng_;  ///< Reparameterization noise (init draws fork from it).
 
   std::vector<std::unique_ptr<FeatureExtractor>> features_;     // c, p, t.
   std::vector<std::unique_ptr<ExclusiveEncoder>> exclusive_;    // c, p, t.

@@ -9,54 +9,30 @@ autograd::Variable ApplyActivation(const autograd::Variable& x,
   switch (activation) {
     case Activation::kNone:
       return x;
-    case Activation::kRelu:
-      return autograd::Relu(x);
     case Activation::kLeakyRelu:
       return autograd::LeakyRelu(x, 0.1f);
     case Activation::kTanh:
       return autograd::Tanh(x);
     case Activation::kSigmoid:
       return autograd::Sigmoid(x);
-    case Activation::kSoftplus:
-      return autograd::Softplus(x);
   }
   MUSE_CHECK(false) << "unreachable activation";
   return x;
 }
 
-bool FusableActKind(Activation activation, tensor::ActKind* kind) {
+tensor::ActKind FusedActKind(Activation activation) {
   switch (activation) {
     case Activation::kNone:
-      *kind = tensor::ActKind::kIdentity;
-      return true;
-    case Activation::kRelu:
-      *kind = tensor::ActKind::kRelu;
-      return true;
+      return tensor::ActKind::kIdentity;
     case Activation::kLeakyRelu:
-      *kind = tensor::ActKind::kLeakyRelu;
-      return true;
+      return tensor::ActKind::kLeakyRelu;
     case Activation::kTanh:
-      *kind = tensor::ActKind::kTanh;
-      return true;
+      return tensor::ActKind::kTanh;
     case Activation::kSigmoid:
-      *kind = tensor::ActKind::kSigmoid;
-      return true;
-    case Activation::kSoftplus:
-      return false;
+      return tensor::ActKind::kSigmoid;
   }
   MUSE_CHECK(false) << "unreachable activation";
-  return false;
-}
-
-Activation ActivationFromString(const std::string& name) {
-  if (name == "none") return Activation::kNone;
-  if (name == "relu") return Activation::kRelu;
-  if (name == "leaky_relu") return Activation::kLeakyRelu;
-  if (name == "tanh") return Activation::kTanh;
-  if (name == "sigmoid") return Activation::kSigmoid;
-  if (name == "softplus") return Activation::kSoftplus;
-  MUSE_CHECK(false) << "unknown activation: " << name;
-  return Activation::kNone;
+  return tensor::ActKind::kIdentity;
 }
 
 }  // namespace musenet::nn

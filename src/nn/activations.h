@@ -10,24 +10,17 @@ namespace musenet::nn {
 /// Pointwise nonlinearity selector for layers with a fused activation.
 enum class Activation {
   kNone,
-  kRelu,
   kLeakyRelu,  ///< Negative slope 0.1.
   kTanh,
   kSigmoid,
-  kSoftplus,
 };
 
 /// Applies the selected activation (kNone returns `x` unchanged).
 autograd::Variable ApplyActivation(const autograd::Variable& x,
                                    Activation activation);
 
-/// Parses "none"/"relu"/"tanh"/"sigmoid"/"softplus"; aborts on other input.
-Activation ActivationFromString(const std::string& name);
-
-/// Maps `activation` onto the fused bias+activation kernel's selector when it
-/// has one. Returns false for softplus, whose derivative needs the
-/// pre-activation and therefore stays on the unfused path.
-bool FusableActKind(Activation activation, tensor::ActKind* kind);
+/// The fused bias+activation kernel's selector for `activation`.
+tensor::ActKind FusedActKind(Activation activation);
 
 }  // namespace musenet::nn
 

@@ -14,12 +14,12 @@ namespace musenet::nn {
 /// mean/var) and updates running statistics; eval mode uses the running
 /// statistics as constants. Running stats are registered as buffers, so they
 /// travel with StateDict checkpoints.
-class BatchNorm2d : public UnaryModule {
+class BatchNorm2d : public Module {
  public:
   explicit BatchNorm2d(int64_t channels, double momentum = 0.1,
                        float epsilon = 1e-5f);
 
-  autograd::Variable Forward(const autograd::Variable& x) override;
+  autograd::Variable Forward(const autograd::Variable& x);
 
   int64_t channels() const { return channels_; }
   const tensor::Tensor& running_mean() const { return running_mean_; }

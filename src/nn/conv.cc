@@ -68,15 +68,11 @@ ag::Variable Conv2d::Forward(const ag::Variable& x) {
   ag::Variable y = ag::Conv2d(x, weight_, spec_, workspace);
   if (options_.use_bias) {
     // [Cout] → [1,Cout,1,1] broadcasts over batch and space. use_bias
-    // implies no batch norm (the ctor clears it), so the activation can
-    // fuse into the same node when it has a fused kind.
+    // implies no batch norm (the ctor clears it), so the activation fuses
+    // into the same node.
     ag::Variable b =
         ag::Reshape(bias_, tensor::Shape({1, out_channels_, 1, 1}));
-    tensor::ActKind kind;
-    if (FusableActKind(options_.activation, &kind)) {
-      return ag::BiasActivation(y, b, kind);
-    }
-    y = ag::Add(y, b);
+    return ag::BiasActivation(y, b, FusedActKind(options_.activation));
   }
   if (batch_norm_ != nullptr) y = batch_norm_->Forward(y);
   return ApplyActivation(y, options_.activation);

@@ -15,7 +15,7 @@ namespace musenet::nn {
 /// default (the configuration used throughout MUSE-Net / DeepSTN+).
 ///
 /// Input [B, Cin, H, W] → output [B, Cout, H', W'].
-class Conv2d : public UnaryModule {
+class Conv2d : public Module {
  public:
   struct Options {
     int64_t kernel = 3;
@@ -39,7 +39,7 @@ class Conv2d : public UnaryModule {
   /// Defaults: 3×3 kernel, stride 1, "same" padding, no activation, bias.
   Conv2d(int64_t in_channels, int64_t out_channels, Rng& rng);
 
-  autograd::Variable Forward(const autograd::Variable& x) override;
+  autograd::Variable Forward(const autograd::Variable& x);
 
   int64_t in_channels() const { return in_channels_; }
   int64_t out_channels() const { return out_channels_; }

@@ -32,12 +32,10 @@ ag::Variable Dense::Forward(const ag::Variable& x) {
   MUSE_CHECK_EQ(x.value().rank(), 2);
   MUSE_CHECK_EQ(x.value().dim(1), in_features_);
   ag::Variable y = ag::MatMul(x, weight_);
-  tensor::ActKind kind;
-  if (use_bias_ && FusableActKind(activation_, &kind)) {
+  if (use_bias_) {
     // One node/kernel for bias + activation; [B,out] + [out] broadcasts.
-    return ag::BiasActivation(y, bias_, kind);
+    return ag::BiasActivation(y, bias_, FusedActKind(activation_));
   }
-  if (use_bias_) y = ag::Add(y, bias_);
   return ApplyActivation(y, activation_);
 }
 

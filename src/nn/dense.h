@@ -8,13 +8,13 @@
 namespace musenet::nn {
 
 /// Fully connected layer: y = act(x W + b), x:[B,in] → y:[B,out].
-class Dense : public UnaryModule {
+class Dense : public Module {
  public:
   /// Weight is Glorot-uniform initialized; bias (optional) starts at zero.
   Dense(int64_t in_features, int64_t out_features, Rng& rng,
         Activation activation = Activation::kNone, bool use_bias = true);
 
-  autograd::Variable Forward(const autograd::Variable& x) override;
+  autograd::Variable Forward(const autograd::Variable& x);
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }

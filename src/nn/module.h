@@ -65,7 +65,7 @@ class Module {
   /// run replays the exact noise sequence of an uninterrupted one.
   std::vector<std::pair<std::string, Rng*>> NamedRngs() const;
 
-  /// Train/eval mode (affects Dropout); recurses into sub-modules.
+  /// Train/eval mode (affects BatchNorm); recurses into sub-modules.
   void SetTraining(bool training);
   bool training() const { return training_; }
 
@@ -102,13 +102,6 @@ class Module {
   std::vector<std::pair<std::string, Rng*>> rngs_;
   std::vector<std::pair<std::string, Module*>> children_;
   bool training_ = true;
-};
-
-/// A module with the common one-input / one-output forward signature, so
-/// heterogeneous layers can be chained by Sequential.
-class UnaryModule : public Module {
- public:
-  virtual autograd::Variable Forward(const autograd::Variable& x) = 0;
 };
 
 }  // namespace musenet::nn

@@ -29,7 +29,7 @@ class Optimizer {
   /// Applies one update using the currently accumulated gradients.
   virtual void Step() = 0;
 
-  /// Algorithm name ("adam", "sgd"); keys checkpoint records so a resume
+  /// Algorithm name ("adam"); keys checkpoint records so a resume
   /// with a different optimizer fails loudly instead of silently reusing
   /// foreign moment buffers.
   virtual std::string_view kind() const = 0;

@@ -27,13 +27,6 @@ void AddInPlace(Tensor& a, const Tensor& b) {
   });
 }
 
-void ScaleInPlace(Tensor& a, float s) {
-  float* pa = a.mutable_data();
-  MaybeParallelFor(a.num_elements(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) pa[i] *= s;
-  });
-}
-
 Tensor MulAdd(const Tensor& a, const Tensor& b, const Tensor& c) {
   MUSE_CHECK(a.shape() == b.shape() && b.shape() == c.shape())
       << "MulAdd shape mismatch: " << a.shape().ToString() << ", "
@@ -124,9 +117,6 @@ Tensor BiasAct(const Tensor& x, const Tensor& bias, ActKind act,
   switch (act) {
     case ActKind::kIdentity:
       return BiasActImpl(x, bias, [](float v) { return v; });
-    case ActKind::kRelu:
-      return BiasActImpl(x, bias,
-                         [](float v) { return v > 0.0f ? v : 0.0f; });
     case ActKind::kLeakyRelu:
       return BiasActImpl(
           x, bias, [alpha](float v) { return v > 0.0f ? v : alpha * v; });
@@ -144,11 +134,6 @@ Tensor ActBackwardFromOutput(const Tensor& g, const Tensor& out, ActKind act,
   switch (act) {
     case ActKind::kIdentity:
       return ActBackwardImpl(g, out, [](float gv, float) { return gv; });
-    case ActKind::kRelu:
-      // out > 0 ⟺ pre-activation > 0, so the mask matches the unfused
-      // backward that reads the input.
-      return ActBackwardImpl(
-          g, out, [](float gv, float ov) { return ov > 0.0f ? gv : 0.0f; });
     case ActKind::kLeakyRelu:
       return ActBackwardImpl(g, out, [alpha](float gv, float ov) {
         return ov > 0.0f ? gv : alpha * gv;
@@ -183,18 +168,6 @@ Tensor SquareBackward(const Tensor& g, const Tensor& x) {
       const float two_x = px[i] * 2.0f;
       pr[i] = pg[i] * two_x;
     }
-  });
-  return result;
-}
-
-Tensor SoftplusBackward(const Tensor& g, const Tensor& x) {
-  MUSE_CHECK(g.shape() == x.shape()) << "SoftplusBackward shape mismatch";
-  Tensor result = Tensor::Uninitialized(g.shape());
-  const float* pg = g.data();
-  const float* px = x.data();
-  float* pr = result.mutable_data();
-  MaybeParallelFor(g.num_elements(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) pr[i] = pg[i] * SigmoidScalar(px[i]);
   });
   return result;
 }

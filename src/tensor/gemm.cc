@@ -335,22 +335,6 @@ void GemmPackBTiles(int64_t k, int64_t n, const float* b, int64_t ldb,
   }
 }
 
-int64_t GemmPackedAElems(int64_t m, int64_t k) {
-  return (m + kMr - 1) / kMr * kMr * k;
-}
-
-void GemmPackATiles(int64_t m, int64_t k, const float* a, int64_t lda,
-                    float* out) {
-  for (int64_t i0 = 0; i0 < m; i0 += kMr) {
-    float* panel = out + i0 * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      for (int64_t r = 0; r < kMr; ++r) {
-        panel[kk * kMr + r] = i0 + r < m ? a[(i0 + r) * lda + kk] : 0.0f;
-      }
-    }
-  }
-}
-
 void GemmMicroKernelAcc(const float* a, int64_t a_rs, int64_t a_ks,
                         const float* bp, float* c, int64_t ldc, int64_t mr,
                         int64_t nr, int64_t kc) {

@@ -86,17 +86,6 @@ int64_t GemmPackedBElems(int64_t k, int64_t n);
 void GemmPackBTiles(int64_t k, int64_t n, const float* b, int64_t ldb,
                     float* out);
 
-/// Elements of a fully packed A operand: ceil(m / mr)·mr rows (last row
-/// panel zero-padded) of k columns each.
-int64_t GemmPackedAElems(int64_t m, int64_t k);
-
-/// Packs all of A[m,k] (row-major, leading dimension lda) into row panels of
-/// mr rows: panel starting at row i0 begins at element i0·k; element (r, kk)
-/// within the panel sits at kk·mr + r, so a K-panel slice of the panel
-/// starts at i0·k + kp·mr and is read with strides a_rs = 1, a_ks = mr.
-void GemmPackATiles(int64_t m, int64_t k, const float* a, int64_t lda,
-                    float* out);
-
 /// One micro-kernel call: C-tile [mr ≤ tile.mr, nr ≤ tile.nr] += A-rows ×
 /// one packed B strip over a K-panel of kc rows. `a` is addressed as
 /// A[r][kk] = a[r·a_rs + kk·a_ks]; `bp` is one strip of the packed layout

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "tensor/gemm.h"
-
 namespace musenet::tensor {
 
 void Im2col(const float* in, int64_t cin, int64_t h, int64_t w, int64_t kh,
@@ -44,79 +42,6 @@ void Im2col(const float* in, int64_t cin, int64_t h, int64_t w, int64_t kh,
           }
         }
       }
-    }
-  }
-}
-
-void Im2colPackedTiles(const float* in, int64_t cin, int64_t h, int64_t w,
-                       int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-                       int64_t oh, int64_t ow, float* packed) {
-  const GemmTile tile = GemmTileShape();
-  const int64_t nr = tile.nr;
-  const int64_t kdim = cin * kh * kw;
-  const int64_t osp = oh * ow;
-  const int64_t ceil_osp = (osp + nr - 1) / nr * nr;
-  for (int64_t kp = 0; kp < kdim; kp += kGemmKc) {
-    const int64_t kc = std::min(kGemmKc, kdim - kp);
-    float* panel = packed + kp * ceil_osp;
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const int64_t r = kp + kk;
-      const int64_t ci = r / (kh * kw);
-      const int64_t ky = (r / kw) % kh;
-      const int64_t kx = r % kw;
-      const float* plane = in + ci * h * w;
-      // Walk output pixels in order, stepping the strip pointer instead of
-      // dividing per element: pixel o lands in strip o/nr at lane o%nr.
-      // Whole runs of contiguous pixels are copied per segment — the strip
-      // layout is contiguous between lane-wrap boundaries, so a run splits
-      // into at most ceil(len/nr)+1 memcpy/memset calls. Per-element
-      // emission here costs more than the GEMM it feeds at serving shapes.
-      int64_t o = 0;
-      int64_t lane = 0;
-      float* dst = panel + kk * nr;
-      const auto emit_run = [&](const float* src, int64_t len) {
-        while (len > 0) {
-          const int64_t take = std::min(len, nr - lane);
-          if (src != nullptr) {
-            std::memcpy(dst + lane, src,
-                        static_cast<size_t>(take) * sizeof(float));
-            src += take;
-          } else {
-            std::memset(dst + lane, 0,
-                        static_cast<size_t>(take) * sizeof(float));
-          }
-          lane += take;
-          len -= take;
-          o += take;
-          if (lane == nr) {
-            lane = 0;
-            dst += kc * nr;
-          }
-        }
-      };
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        const int64_t iy = oy * stride + ky - pad;
-        if (iy < 0 || iy >= h) {
-          emit_run(nullptr, ow);
-          continue;
-        }
-        const float* in_row = plane + iy * w;
-        if (stride == 1) {
-          // Valid ox range: 0 <= ox + kx - pad < w (same split as Im2col).
-          const int64_t lo = std::max<int64_t>(0, pad - kx);
-          const int64_t hi = std::min(ow, w + pad - kx);
-          emit_run(nullptr, lo);
-          if (hi > lo) emit_run(in_row + lo + kx - pad, hi - lo);
-          emit_run(nullptr, ow - std::max(lo, hi));
-        } else {
-          for (int64_t ox = 0; ox < ow; ++ox) {
-            const int64_t ix = ox * stride + kx - pad;
-            const float v = (ix >= 0 && ix < w) ? in_row[ix] : 0.0f;
-            emit_run(&v, 1);
-          }
-        }
-      }
-      emit_run(nullptr, ceil_osp - o);  // Pad the last strip to full width.
     }
   }
 }

@@ -23,17 +23,6 @@ void Col2imAdd(const float* col, int64_t cin, int64_t h, int64_t w, int64_t kh,
                int64_t kw, int64_t stride, int64_t pad, int64_t oh, int64_t ow,
                float* in);
 
-/// Im2col fused with GEMM B-operand packing: writes the column matrix
-/// directly in the tiled layout GemmPackBTiles produces for a
-/// [cin·kh·kw, oh·ow] B operand (K-panels of kGemmKc rows, nr-wide k-major
-/// strips, last strip zero-padded — see gemm.h). Replaying a packed-weight
-/// conv then skips the separate per-call PackB pass entirely. `packed` must
-/// hold GemmPackedBElems(cin·kh·kw, oh·ow) floats. Values are exactly those
-/// of Im2col followed by GemmPackBTiles; no allocation.
-void Im2colPackedTiles(const float* in, int64_t cin, int64_t h, int64_t w,
-                       int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-                       int64_t oh, int64_t ow, float* packed);
-
 }  // namespace musenet::tensor
 
 #endif  // MUSENET_TENSOR_IM2COL_H_

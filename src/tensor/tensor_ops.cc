@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -227,10 +226,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
   return BroadcastBinary(a, b, [](float x, float y) { return x / y; });
 }
 
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BroadcastBinary(a, b, [](float x, float y) { return std::max(x, y); });
-}
-
 Tensor AddScalar(const Tensor& a, float s) {
   return Unary(a, [s](float x) { return x + s; });
 }
@@ -247,10 +242,6 @@ Tensor Exp(const Tensor& a) {
   return Unary(a, [](float x) { return std::exp(x); });
 }
 
-Tensor Log(const Tensor& a) {
-  return Unary(a, [](float x) { return std::log(x); });
-}
-
 Tensor Sqrt(const Tensor& a) {
   return Unary(a, [](float x) { return std::sqrt(x); });
 }
@@ -259,27 +250,12 @@ Tensor Tanh(const Tensor& a) {
   return Unary(a, [](float x) { return std::tanh(x); });
 }
 
-Tensor Relu(const Tensor& a) {
-  return Unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
 Tensor LeakyRelu(const Tensor& a, float alpha) {
   return Unary(a, [alpha](float x) { return x > 0.0f ? x : alpha * x; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
   return Unary(a, [](float x) { return SigmoidScalar(x); });
-}
-
-Tensor Softplus(const Tensor& a) {
-  return Unary(a, [](float x) {
-    // log(1+e^x) = max(x,0) + log1p(e^{-|x|}).
-    return std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
-  });
-}
-
-Tensor Abs(const Tensor& a) {
-  return Unary(a, [](float x) { return std::fabs(x); });
 }
 
 Tensor Square(const Tensor& a) {
@@ -545,19 +521,6 @@ Tensor MatMulBatchedTransA(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor Transpose2d(const Tensor& a) {
-  MUSE_CHECK_EQ(a.rank(), 2);
-  const int64_t m = a.dim(0);
-  const int64_t n = a.dim(1);
-  Tensor out = Tensor::Uninitialized(Shape({n, m}));
-  const float* pa = a.data();
-  float* po = out.mutable_data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
-  }
-  return out;
-}
-
 Tensor TransposeLast2(const Tensor& a) {
   MUSE_CHECK_EQ(a.rank(), 3);
   const int64_t batch = a.dim(0);
@@ -744,84 +707,6 @@ Tensor BroadcastTo(const Tensor& a, const Shape& target) {
         offset_a -= sa[axis] * target.dim(axis);
       }
     }
-  });
-  return out;
-}
-
-namespace {
-
-/// Shared window-walk for the 2-D poolers.
-template <typename Fn>
-void ForEachWindow(const Tensor& a, int64_t window, Fn fn) {
-  MUSE_CHECK_EQ(a.rank(), 4);
-  MUSE_CHECK_GT(window, 0);
-  const int64_t h = a.dim(2);
-  const int64_t w = a.dim(3);
-  MUSE_CHECK_EQ(h % window, 0) << "H not divisible by pooling window";
-  MUSE_CHECK_EQ(w % window, 0) << "W not divisible by pooling window";
-  const int64_t planes = a.dim(0) * a.dim(1);
-  const int64_t oh = h / window;
-  const int64_t ow = w / window;
-  for (int64_t p = 0; p < planes; ++p) {
-    for (int64_t oy = 0; oy < oh; ++oy) {
-      for (int64_t ox = 0; ox < ow; ++ox) {
-        fn(p, oy, ox);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-Tensor AvgPool2d(const Tensor& a, int64_t window) {
-  const int64_t h = a.dim(2);
-  const int64_t w = a.dim(3);
-  Tensor out =
-      Tensor::Uninitialized(Shape({a.dim(0), a.dim(1), h / window, w / window}));
-  const float* pa = a.data();
-  float* po = out.mutable_data();
-  const int64_t ow = w / window;
-  const float inv = 1.0f / static_cast<float>(window * window);
-  ForEachWindow(a, window, [&](int64_t p, int64_t oy, int64_t ox) {
-    double acc = 0.0;
-    for (int64_t ky = 0; ky < window; ++ky) {
-      for (int64_t kx = 0; kx < window; ++kx) {
-        acc += pa[(p * h + oy * window + ky) * w + ox * window + kx];
-      }
-    }
-    po[(p * (h / window) + oy) * ow + ox] = static_cast<float>(acc) * inv;
-  });
-  return out;
-}
-
-Tensor MaxPool2d(const Tensor& a, int64_t window,
-                 std::vector<int64_t>* argmax) {
-  const int64_t h = a.dim(2);
-  const int64_t w = a.dim(3);
-  Tensor out =
-      Tensor::Uninitialized(Shape({a.dim(0), a.dim(1), h / window, w / window}));
-  if (argmax != nullptr) {
-    argmax->assign(static_cast<size_t>(out.num_elements()), 0);
-  }
-  const float* pa = a.data();
-  float* po = out.mutable_data();
-  const int64_t ow = w / window;
-  ForEachWindow(a, window, [&](int64_t p, int64_t oy, int64_t ox) {
-    float best = -std::numeric_limits<float>::infinity();
-    int64_t best_idx = 0;
-    for (int64_t ky = 0; ky < window; ++ky) {
-      for (int64_t kx = 0; kx < window; ++kx) {
-        const int64_t idx =
-            (p * h + oy * window + ky) * w + ox * window + kx;
-        if (pa[idx] > best) {
-          best = pa[idx];
-          best_idx = idx;
-        }
-      }
-    }
-    const int64_t out_idx = (p * (h / window) + oy) * ow + ox;
-    po[out_idx] = best;
-    if (argmax != nullptr) (*argmax)[static_cast<size_t>(out_idx)] = best_idx;
   });
   return out;
 }

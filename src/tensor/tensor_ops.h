@@ -21,8 +21,6 @@ Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 /// Elementwise quotient; division by zero follows IEEE semantics (±inf/NaN).
 Tensor Div(const Tensor& a, const Tensor& b);
-/// max(a, b) elementwise with broadcasting.
-Tensor Maximum(const Tensor& a, const Tensor& b);
 
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
@@ -34,17 +32,14 @@ Tensor MulScalar(const Tensor& a, float s);
 /// gradient-accumulation hot path).
 void AddInPlace(Tensor& a, const Tensor& b);
 
-/// a *= s elementwise in place.
-void ScaleInPlace(Tensor& a, float s);
-
 /// a + b ⊙ c in one pass; all three shapes must match exactly. Bit-identical
 /// to Add(a, Mul(b, c)).
 Tensor MulAdd(const Tensor& a, const Tensor& b, const Tensor& c);
 
-/// Activation selector for the fused bias+activation kernels. Mirrors the
-/// subset of nn::Activation whose derivative is expressible from the
-/// activation output alone (softplus is not; it stays on the unfused path).
-enum class ActKind { kIdentity, kRelu, kLeakyRelu, kTanh, kSigmoid };
+/// Activation selector for the fused bias+activation kernels; one value per
+/// nn::Activation. Each derivative is expressible from the activation
+/// output alone.
+enum class ActKind { kIdentity, kLeakyRelu, kTanh, kSigmoid };
 
 /// act(x + bias) in one pass. `bias` must broadcast against `x` with at most
 /// one non-unit axis (e.g. [C] against [B,C], or [1,C,1,1] against
@@ -62,26 +57,16 @@ Tensor ActBackwardFromOutput(const Tensor& g, const Tensor& out, ActKind act,
 /// Mul(g, MulScalar(x, 2)).
 Tensor SquareBackward(const Tensor& g, const Tensor& x);
 
-/// g ⊙ sigmoid(x) in one pass — the Softplus backward, bit-identical to
-/// Mul(g, Sigmoid(x)).
-Tensor SoftplusBackward(const Tensor& g, const Tensor& x);
-
 // --- Elementwise unary -------------------------------------------------------
 
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
-/// Natural log; non-positive entries follow IEEE semantics (-inf/NaN).
-Tensor Log(const Tensor& a);
 Tensor Sqrt(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Relu(const Tensor& a);
-/// max(x, alpha·x) with alpha in (0,1): ReLU that keeps a small negative
-/// slope so units cannot die.
+/// max(x, alpha·x) with alpha in (0,1): a rectifier that keeps a small
+/// negative slope so units cannot die.
 Tensor LeakyRelu(const Tensor& a, float alpha = 0.1f);
 Tensor Sigmoid(const Tensor& a);
-/// log(1 + exp(x)) computed stably.
-Tensor Softplus(const Tensor& a);
-Tensor Abs(const Tensor& a);
 Tensor Square(const Tensor& a);
 /// Clamps every element into [lo, hi].
 Tensor Clamp(const Tensor& a, float lo, float hi);
@@ -122,9 +107,9 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target);
 /// [m,k] × [k,n] → [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// [m,k] × [n,k]ᵀ → [m,n]. Reads `b` through strides instead of
-/// materializing the transpose; bit-identical to MatMul(a, Transpose2d(b)).
+/// materializing the transpose; bit-identical to MatMul(a, bᵀ).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
-/// [k,m]ᵀ × [k,n] → [m,n]; bit-identical to MatMul(Transpose2d(a), b).
+/// [k,m]ᵀ × [k,n] → [m,n]; bit-identical to MatMul(aᵀ, b).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// Batched [B,m,k] × [B,k,n] → [B,m,n].
 Tensor MatMulBatched(const Tensor& a, const Tensor& b);
@@ -134,8 +119,6 @@ Tensor MatMulBatchedTransB(const Tensor& a, const Tensor& b);
 /// Batched ([B,k,m] transposed per sample) × [B,k,n] → [B,m,n];
 /// bit-identical to MatMulBatched(TransposeLast2(a), b).
 Tensor MatMulBatchedTransA(const Tensor& a, const Tensor& b);
-/// [m,n] → [n,m].
-Tensor Transpose2d(const Tensor& a);
 /// Swaps the last two axes of a rank-3 tensor: [B,m,n] → [B,n,m].
 Tensor TransposeLast2(const Tensor& a);
 
@@ -152,18 +135,6 @@ Tensor Slice(const Tensor& a, int axis, int64_t start, int64_t len);
 
 /// Broadcasts `a` to `target` shape (materialized).
 Tensor BroadcastTo(const Tensor& a, const Shape& target);
-
-// --- Pooling -------------------------------------------------------------------
-
-/// Non-overlapping window average pooling over the last two axes of a
-/// [B, C, H, W] tensor. H and W must be divisible by `window`.
-Tensor AvgPool2d(const Tensor& a, int64_t window);
-
-/// Non-overlapping window max pooling (same contract as AvgPool2d).
-/// When `argmax` is non-null it receives, per output element, the flat input
-/// offset of the winning element — the backward pass scatters through it.
-Tensor MaxPool2d(const Tensor& a, int64_t window,
-                 std::vector<int64_t>* argmax = nullptr);
 
 }  // namespace musenet::tensor
 

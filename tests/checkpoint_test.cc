@@ -18,7 +18,6 @@
 #include "nn/conv.h"
 #include "optim/adam.h"
 #include "optim/optimizer.h"
-#include "optim/sgd.h"
 #include "sim/flow_series.h"
 #include "sim/serialize.h"
 #include "tensor/serialize.h"
@@ -473,12 +472,6 @@ void ExpectOptimizerResumeBitExact(MakeOpt make_opt) {
 TEST(OptimizerStateTest, AdamResumeIsBitExact) {
   ExpectOptimizerResumeBitExact([](std::vector<ag::Variable>& params) {
     return std::make_unique<optim::Adam>(params, 0.05);
-  });
-}
-
-TEST(OptimizerStateTest, SgdMomentumResumeIsBitExact) {
-  ExpectOptimizerResumeBitExact([](std::vector<ag::Variable>& params) {
-    return std::make_unique<optim::Sgd>(params, 0.05, 0.9);
   });
 }
 

@@ -24,38 +24,12 @@
 #include <chrono>
 #include <future>
 #include <thread>
-#include <new>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-// --- Global allocation counter ----------------------------------------------
-//
-// Counts every operator-new in the process so tests can assert that a code
-// region allocates nothing (worker-thread allocations count too).
-
-namespace {
-std::atomic<int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
+#include "alloc_counter.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "baselines/registry.h"
@@ -423,7 +397,7 @@ TEST(NoGradGuardTest, EnableReArmsTracingInsideSkip) {
   {
     ag::NoGradGuard enable(ag::NoGradGuard::Mode::kEnable);
     EXPECT_FALSE(ag::NoGradGuard::Active());
-    ag::Variable c = ag::Relu(a);
+    ag::Variable c = ag::Tanh(a);
     EXPECT_TRUE(c.node()->requires_grad);
     EXPECT_EQ(c.node()->inputs.size(), 1u);
   }
@@ -436,7 +410,7 @@ TEST(NoGradGuardDeathTest, ForbidModeMakesOpsFatal) {
   EXPECT_DEATH(
       {
         ag::NoGradGuard guard(ag::NoGradGuard::Mode::kForbid);
-        ag::Relu(a);
+        ag::Tanh(a);
       },
       "forbid");
 }

@@ -78,12 +78,5 @@ TEST(IeeeEdgeTest, DivByZeroFollowsIeee) {
   EXPECT_TRUE(std::isnan(q.flat(2)));
 }
 
-TEST(IeeeEdgeTest, LogOfNonPositiveFollowsIeee) {
-  ts::Tensor a = ts::Tensor::FromVector({0.0f, -1.0f});
-  ts::Tensor l = ts::Log(a);
-  EXPECT_TRUE(std::isinf(l.flat(0)));
-  EXPECT_TRUE(std::isnan(l.flat(1)));
-}
-
 }  // namespace
 }  // namespace musenet

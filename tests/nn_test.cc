@@ -6,11 +6,8 @@
 #include "nn/batch_norm.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/gru.h"
 #include "nn/init.h"
-#include "nn/layer_norm.h"
-#include "nn/sequential.h"
 #include "optim/adam.h"
 #include "tensor/tensor_ops.h"
 
@@ -276,48 +273,6 @@ TEST(BatchNormTest, GradientFlowsThroughNormalization) {
   for (auto& p : bn.Parameters()) EXPECT_TRUE(p.has_grad());
 }
 
-// --- LayerNorm ----------------------------------------------------------------
-
-TEST(LayerNormTest, RowStatistics) {
-  LayerNorm norm(4);
-  ts::Tensor x(ts::Shape({2, 4}), {1, 2, 3, 4, 10, 20, 30, 40});
-  ag::Variable y = norm.Forward(ag::Constant(x));
-  for (int64_t r = 0; r < 2; ++r) {
-    double sum = 0.0;
-    for (int64_t c2 = 0; c2 < 4; ++c2) sum += y.value().at({r, c2});
-    EXPECT_NEAR(sum, 0.0, 1e-4);
-  }
-}
-
-// --- Dropout ----------------------------------------------------------------
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Rng rng(12);
-  Dropout drop(0.5, &rng);
-  drop.SetTraining(false);
-  ts::Tensor x = ts::Tensor::Ones(ts::Shape({10}));
-  EXPECT_TRUE(drop.Forward(ag::Constant(x)).value().AllClose(x));
-}
-
-TEST(DropoutTest, TrainModeZeroesAndRescales) {
-  Rng rng(12);
-  Dropout drop(0.5, &rng);
-  ts::Tensor x = ts::Tensor::Ones(ts::Shape({10000}));
-  ts::Tensor y = drop.Forward(ag::Constant(x)).value();
-  int64_t zeros = 0;
-  double sum = 0.0;
-  for (int64_t i = 0; i < y.num_elements(); ++i) {
-    if (y.flat(i) == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y.flat(i), 2.0f);  // 1/(1−0.5).
-    }
-    sum += y.flat(i);
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.num_elements(), 0.5, 0.03);
-  EXPECT_NEAR(sum / y.num_elements(), 1.0, 0.05);  // Expectation preserved.
-}
-
 // --- GRU ----------------------------------------------------------------
 
 TEST(GruTest, StepShapes) {
@@ -384,36 +339,7 @@ TEST(GruTest, LearnsToRememberInput) {
   EXPECT_LT(final_loss, 0.05f);
 }
 
-// --- Sequential ----------------------------------------------------------------
-
-TEST(SequentialTest, ChainsLayersAndRegistersParams) {
-  Rng rng(17);
-  Sequential stack;
-  stack.Emplace<Dense>(4, 8, rng, Activation::kLeakyRelu);
-  stack.Emplace<Dense>(8, 2, rng);
-  EXPECT_EQ(stack.size(), 2u);
-  EXPECT_EQ(stack.Parameters().size(), 4u);
-  ag::Variable x = ag::Constant(ts::Tensor::Ones(ts::Shape({3, 4})));
-  EXPECT_EQ(stack.Forward(x).value().shape(), ts::Shape({3, 2}));
-}
-
-TEST(SequentialTest, EmptyIsIdentity) {
-  Sequential stack;
-  EXPECT_TRUE(stack.empty());
-  ts::Tensor x = ts::Tensor::Arange(4);
-  EXPECT_TRUE(stack.Forward(ag::Constant(x)).value().AllClose(x));
-}
-
 // --- Activations ----------------------------------------------------------------
-
-TEST(ActivationTest, FromString) {
-  EXPECT_EQ(ActivationFromString("none"), Activation::kNone);
-  EXPECT_EQ(ActivationFromString("relu"), Activation::kRelu);
-  EXPECT_EQ(ActivationFromString("leaky_relu"), Activation::kLeakyRelu);
-  EXPECT_EQ(ActivationFromString("tanh"), Activation::kTanh);
-  EXPECT_EQ(ActivationFromString("sigmoid"), Activation::kSigmoid);
-  EXPECT_EQ(ActivationFromString("softplus"), Activation::kSoftplus);
-}
 
 TEST(ActivationTest, ApplyMatchesOps) {
   ts::Tensor x = ts::Tensor::FromVector({-1.0f, 0.5f});
@@ -422,9 +348,9 @@ TEST(ActivationTest, ApplyMatchesOps) {
   EXPECT_TRUE(ApplyActivation(v, Activation::kTanh)
                   .value()
                   .AllClose(ts::Tanh(x)));
-  EXPECT_TRUE(ApplyActivation(v, Activation::kRelu)
+  EXPECT_TRUE(ApplyActivation(v, Activation::kLeakyRelu)
                   .value()
-                  .AllClose(ts::Relu(x)));
+                  .AllClose(ts::LeakyRelu(x, 0.1f)));
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "alloc_counter.h"
 #include "data/dataset.h"
 #include "eval/forecaster.h"
 #include "muse/config.h"
@@ -39,33 +39,6 @@
 #include "util/io.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-
-// --- Global allocation counter ----------------------------------------------
-//
-// Counts every operator-new in the process so tests can assert that a code
-// region allocates nothing. Relaxed atomics: the asserting tests run their
-// region single-threaded.
-
-namespace {
-std::atomic<int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace musenet {
 namespace {

@@ -5,7 +5,6 @@
 #include "autograd/ops.h"
 #include "optim/adam.h"
 #include "optim/optimizer.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace musenet::optim {
@@ -22,33 +21,6 @@ void QuadraticStep(Optimizer& opt, ag::Variable& theta,
   opt.ZeroGrad();
   ag::Backward(loss);
   opt.Step();
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  ag::Variable theta(ts::Tensor::FromVector({5.0f, -3.0f}), true);
-  ts::Tensor target = ts::Tensor::FromVector({1.0f, 2.0f});
-  Sgd sgd({theta}, 0.1);
-  for (int i = 0; i < 100; ++i) QuadraticStep(sgd, theta, target);
-  EXPECT_TRUE(theta.value().AllClose(target, 1e-3f, 1e-3f));
-}
-
-TEST(SgdTest, MomentumAcceleratesOnIllConditionedQuadratic) {
-  // f(θ) = 100·θ₀² + θ₁²; with a small step, momentum makes faster progress
-  // along the shallow axis.
-  auto run = [](double momentum) {
-    ag::Variable theta(ts::Tensor::FromVector({1.0f, 1.0f}), true);
-    Sgd sgd({theta}, 0.002, momentum);
-    for (int i = 0; i < 120; ++i) {
-      ag::Variable scaled = ag::Mul(
-          theta, ag::Constant(ts::Tensor::FromVector({10.0f, 1.0f})));
-      ag::Variable loss = ag::SumAll(ag::Square(scaled));
-      sgd.ZeroGrad();
-      ag::Backward(loss);
-      sgd.Step();
-    }
-    return std::fabs(theta.value().flat(1));
-  };
-  EXPECT_LT(run(0.9), run(0.0));
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -134,19 +106,19 @@ TEST(ClipGradNormTest, HandlesMissingGradients) {
 
 TEST(OptimizerTest, ZeroGradClears) {
   ag::Variable a(ts::Tensor::Scalar(1.0f), true);
-  Sgd sgd({a}, 0.1);
+  Adam adam({a}, 0.1);
   ag::Backward(ag::Square(a));
   EXPECT_TRUE(a.has_grad());
-  sgd.ZeroGrad();
+  adam.ZeroGrad();
   EXPECT_FALSE(a.has_grad());
 }
 
 TEST(OptimizerTest, LearningRateMutable) {
   ag::Variable a(ts::Tensor::Scalar(1.0f), true);
-  Sgd sgd({a}, 0.1);
-  EXPECT_DOUBLE_EQ(sgd.learning_rate(), 0.1);
-  sgd.set_learning_rate(0.01);
-  EXPECT_DOUBLE_EQ(sgd.learning_rate(), 0.01);
+  Adam adam({a}, 0.1);
+  EXPECT_DOUBLE_EQ(adam.learning_rate(), 0.1);
+  adam.set_learning_rate(0.01);
+  EXPECT_DOUBLE_EQ(adam.learning_rate(), 0.01);
 }
 
 }  // namespace

@@ -75,9 +75,9 @@ TEST(FingerprintTest, ChainedHashEqualsConcatenation) {
 /// independent of its config (for the early-cutoff test). Run counters
 /// observe which stage bodies actually executed.
 struct Chain {
-  Pipeline graph;
-  int a, b, c;
-  std::atomic<int>* runs;  // [3]
+  Pipeline graph{};
+  int a = -1, b = -1, c = -1;
+  std::atomic<int>* runs = nullptr;  // [3]
 };
 
 void BuildChain(Chain* chain, int a_cfg, int b_cfg, bool b_constant = false) {

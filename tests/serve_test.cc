@@ -23,44 +23,18 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-// --- Global allocation counter ----------------------------------------------
-//
-// Counts every operator-new in the process so tests can assert that a code
-// region allocates nothing (worker-thread allocations count too).
-
-namespace {
-std::atomic<int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "alloc_counter.h"
 #include "data/dataset.h"
 #include "muse/model.h"
 #include "obs/expo.h"

@@ -163,8 +163,8 @@ TEST(FusedOpsTest, BiasActMatchesUnfusedChain) {
   ts::Tensor pre = ts::Add(x, bias);
 
   EXPECT_TRUE(BytesEqual(ts::BiasAct(x, bias, ts::ActKind::kIdentity), pre));
-  EXPECT_TRUE(BytesEqual(ts::BiasAct(x, bias, ts::ActKind::kRelu),
-                         ts::Relu(pre)));
+  EXPECT_TRUE(BytesEqual(ts::BiasAct(x, bias, ts::ActKind::kLeakyRelu),
+                         ts::LeakyRelu(pre)));
   EXPECT_TRUE(BytesEqual(ts::BiasAct(x, bias, ts::ActKind::kTanh),
                          ts::Tanh(pre)));
 }

@@ -20,7 +20,6 @@ TEST(BinaryOpsTest, SameShape) {
   EXPECT_TRUE(Sub(a, b).AllClose(T1({-9, -18, -27})));
   EXPECT_TRUE(Mul(a, b).AllClose(T1({10, 40, 90})));
   EXPECT_TRUE(Div(b, a).AllClose(T1({10, 10, 10})));
-  EXPECT_TRUE(Maximum(a, T1({2, 1, 5})).AllClose(T1({2, 2, 5})));
 }
 
 TEST(BinaryOpsTest, ScalarBroadcast) {
@@ -69,14 +68,11 @@ TEST(UnaryOpsTest, MatchStdFunctions) {
   Tensor a = T1({-2.0f, -0.5f, 0.0f, 0.5f, 2.0f});
   Tensor exp = Exp(a);
   Tensor tanh = Tanh(a);
-  Tensor abs = Abs(a);
   for (int64_t i = 0; i < a.num_elements(); ++i) {
     EXPECT_FLOAT_EQ(exp.flat(i), std::exp(a.flat(i)));
     EXPECT_FLOAT_EQ(tanh.flat(i), std::tanh(a.flat(i)));
-    EXPECT_FLOAT_EQ(abs.flat(i), std::fabs(a.flat(i)));
   }
   EXPECT_TRUE(Neg(a).AllClose(T1({2.0f, 0.5f, 0.0f, -0.5f, -2.0f})));
-  EXPECT_TRUE(Relu(a).AllClose(T1({0, 0, 0, 0.5f, 2.0f})));
   EXPECT_TRUE(LeakyRelu(a, 0.1f).AllClose(T1({-0.2f, -0.05f, 0, 0.5f, 2.0f})));
   EXPECT_TRUE(Square(a).AllClose(T1({4.0f, 0.25f, 0, 0.25f, 4.0f})));
 }
@@ -84,7 +80,6 @@ TEST(UnaryOpsTest, MatchStdFunctions) {
 TEST(UnaryOpsTest, LogAndSqrt) {
   Tensor a = T1({1.0f, 4.0f, 9.0f});
   EXPECT_TRUE(Sqrt(a).AllClose(T1({1, 2, 3})));
-  EXPECT_NEAR(Log(a).flat(1), std::log(4.0f), 1e-6);
 }
 
 TEST(UnaryOpsTest, SigmoidStableInTails) {
@@ -93,14 +88,6 @@ TEST(UnaryOpsTest, SigmoidStableInTails) {
   EXPECT_NEAR(s.flat(0), 0.0f, 1e-6);
   EXPECT_FLOAT_EQ(s.flat(1), 0.5f);
   EXPECT_NEAR(s.flat(2), 1.0f, 1e-6);
-}
-
-TEST(UnaryOpsTest, SoftplusStableAndPositive) {
-  Tensor a = T1({-100.0f, 0.0f, 100.0f});
-  Tensor s = Softplus(a);
-  EXPECT_NEAR(s.flat(0), 0.0f, 1e-6);
-  EXPECT_NEAR(s.flat(1), std::log(2.0f), 1e-6);
-  EXPECT_NEAR(s.flat(2), 100.0f, 1e-4);
 }
 
 TEST(UnaryOpsTest, Clamp) {
@@ -198,14 +185,6 @@ TEST(MatMulTest, BatchedMatchesPerBatch) {
     Tensor cb = Slice(c, 0, batch, 1).Reshape(Shape({2, 5}));
     EXPECT_TRUE(cb.AllClose(MatMul(ab, bb)));
   }
-}
-
-TEST(TransposeTest, Transpose2d) {
-  Tensor a = Tensor::Arange(6).Reshape(Shape({2, 3}));
-  Tensor t = Transpose2d(a);
-  EXPECT_EQ(t.shape(), Shape({3, 2}));
-  EXPECT_FLOAT_EQ(t.at({2, 1}), a.at({1, 2}));
-  EXPECT_TRUE(Transpose2d(t).AllClose(a));
 }
 
 TEST(TransposeTest, TransposeLast2) {

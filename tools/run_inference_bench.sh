@@ -92,16 +92,12 @@ doc["batched_scaling_t4_over_t1"] = round(
     doc["batched_throughput_by_threads"][4]
     / doc["batched_throughput_by_threads"][1], 3)
 # The plan-time specialized engine vs the unspecialized engine, single
-# stream at batch 1 and one thread. speedup_vs_fp32_engine compares against
-# this script's own single_t1 column (same process shape, different run) so
-# the ratio is between steady-state replays, not against the one-off number
-# the specialized process happened to measure for its base engine.
-fp32_p50 = doc["single_stream_batch1"]["engine_ms"]["p50"]
+# stream at batch 1 and one thread, both timed in the same process.
 spec = points["spec_fp32"]["specialized"]
 doc["specialized_batch1"] = {"fp32": {
     "engine_p50_ms": spec["engine_ms"]["p50"],
     "engine_p99_ms": spec["engine_ms"]["p99"],
-    "speedup_vs_fp32_engine": round(fp32_p50 / spec["engine_ms"]["p50"], 3),
+    "speedup_vs_fp32_engine": spec["speedup_vs_fp32_engine"],
     "spec_active": spec["spec_active"],
     "max_abs_delta": spec["max_abs_delta"],
     "mae_fp32": spec["mae_fp32"],
