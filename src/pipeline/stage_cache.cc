@@ -190,7 +190,10 @@ Status StageCache::Store(const std::string& stage_name, uint64_t key,
 
   std::string bytes;
   bytes.reserve(sizeof(EntryHeader) + payload.size());
+  // Zero the whole header, padding included: value-initialization does not
+  // promise zeroed padding, and the padding bytes are written to disk.
   EntryHeader header;
+  std::memset(&header, 0, sizeof(header));
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.key = key;
   header.payload_size = payload.size();

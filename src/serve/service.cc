@@ -16,9 +16,11 @@ namespace musenet::serve {
 
 namespace ts = musenet::tensor;
 
-ShedPolicy ParseShedPolicy(const std::string& name) {
+Result<ShedPolicy> ParseShedPolicy(const std::string& name) {
+  if (name == "reject") return ShedPolicy::kRejectNewest;
   if (name == "oldest" || name == "drop-oldest") return ShedPolicy::kDropOldest;
-  return ShedPolicy::kRejectNewest;
+  return Status::InvalidArgument("unknown shed policy '" + name +
+                                 "'; accepted: reject, oldest, drop-oldest");
 }
 
 ForecastService::ForecastService(ModelRegistry& registry,
@@ -161,8 +163,6 @@ std::future<tensor::Tensor> ForecastService::Submit(const std::string& tenant,
 void ForecastService::DispatchLoop(TenantState& tenant) {
   auto& latency_hist =
       obs::GetHistogram("serve.latency_ms", obs::LatencyBucketsMs());
-  auto& infer_latency_hist =
-      obs::GetHistogram("infer.latency_ms", obs::LatencyBucketsMs());
   auto& batch_size_hist =
       obs::GetHistogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
   auto& completed = obs::GetCounter("serve.completed");
@@ -278,7 +278,6 @@ void ForecastService::DispatchLoop(TenantState& tenant) {
       // an outlier latency bucket names a request whose spans are in the
       // trace.
       latency_hist.Observe(millis, p.request_id);
-      infer_latency_hist.Observe(millis, p.request_id);
       if (tenant.quality != nullptr && p.batch.target.num_elements() > 0 &&
           p.batch.target.num_elements() == slice.num_elements()) {
         tenant.quality->Observe(slice.data(), p.batch.target.data(),

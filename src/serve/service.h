@@ -18,6 +18,7 @@
 #include "serve/quality.h"
 #include "serve/registry.h"
 #include "tensor/tensor.h"
+#include "util/status.h"
 
 namespace musenet::serve {
 
@@ -48,8 +49,9 @@ enum class ShedPolicy {
   kDropOldest,
 };
 
-/// Parses "reject" / "oldest"; kRejectNewest for anything else.
-ShedPolicy ParseShedPolicy(const std::string& name);
+/// Parses "reject", "oldest" or "drop-oldest"; InvalidArgument naming the
+/// accepted names for anything else.
+Result<ShedPolicy> ParseShedPolicy(const std::string& name);
 
 /// Per-tenant admission and batching policy.
 struct ServiceOptions {
@@ -77,11 +79,13 @@ struct ServiceOptions {
 /// over a ModelRegistry.
 ///
 /// Each tenant gets a bounded queue, a token bucket and one dispatcher
-/// thread that coalesces queued requests into batches (InferenceSession's
-/// policy) and replays them on a plan snapshot acquired per batch — so a
-/// hot-swap takes effect at the next batch boundary, in-flight batches drain
-/// on the plan they started with, and a request admitted after Swap()
-/// returns can never be served by the old plan.
+/// thread that coalesces queued requests into batches (up to max_batch,
+/// waiting at most max_wait_ms for stragglers), runs the engine once per
+/// batch and slices the prediction back out per request. The engine is a
+/// plan snapshot acquired per batch — so a hot-swap takes effect at the next
+/// batch boundary, in-flight batches drain on the plan they started with,
+/// and a request admitted after Swap() returns can never be served by the
+/// old plan.
 ///
 /// Admission (Submit) sheds synchronously, cheapest checks first:
 ///   1. token bucket empty                        -> ShedError
@@ -96,9 +100,8 @@ struct ServiceOptions {
 /// Observability: counters serve.{requests,admitted,shed,timed_out,
 /// completed} (+ per-tenant serve.<name>.{admitted,shed}), histograms
 /// serve.latency_ms (admission->completion, the SLO histogram),
-/// serve.queue_depth (at admission), serve.batch_size, and infer.latency_ms
-/// so serving load shows up in the same histogram the engine's own session
-/// feeds.
+/// serve.queue_depth (at admission) and serve.batch_size, a serve.request
+/// instant per Submit and a serve.batch span per dispatched batch.
 class ForecastService {
  public:
   ForecastService(ModelRegistry& registry, ServiceOptions options = {});

@@ -7,23 +7,17 @@
 // (c) NoGradGuard semantics: skip builds value-only nodes, enable re-arms
 //     tracing inside a skip scope, forbid makes op construction fatal;
 // (d) unplannable models (HistoricalAverage-style) fall back to Predict;
-// (e) the serving session coalesces single-grid requests into batches and
-//     returns per-request slices identical to a direct model Predict;
-// (f) the per-layer Conv2d workspace keeps repeated eval forwards off the
+// (e) the per-layer Conv2d workspace keeps repeated eval forwards off the
 //     storage pool's fresh-allocation path;
-// (g) plan-time specialization: the BN-folded fp32 plan matches the
+// (f) plan-time specialization: the BN-folded fp32 plan matches the
 //     unfused engine within 1e-5 for MUSE-Net and every neural baseline
 //     (1 and 4 threads, pooled and unpooled), the accuracy gate rejects
 //     and falls back to the base plan when asked for the impossible, and
 //     specialized replay honors the zero-allocation contract;
-// (h) lane sharding covers every sample for prime batch sizes (near-equal
+// (g) lane sharding covers every sample for prime batch sizes (near-equal
 //     split, not the old divisor rule that collapsed 7 samples to 1 lane).
 
-#include <atomic>
 #include <cstdlib>
-#include <chrono>
-#include <future>
-#include <thread>
 #include <string>
 #include <vector>
 
@@ -37,7 +31,6 @@
 #include "eval/forecaster.h"
 #include "infer/engine.h"
 #include "infer/plan.h"
-#include "infer/session.h"
 #include "muse/model.h"
 #include "nn/conv.h"
 #include "obs/metrics.h"
@@ -259,7 +252,7 @@ TEST(InferEngineTest, PredictIntoRequiresWarmPlan) {
   EXPECT_FALSE(engine.PredictInto(batch, &out).ok());
 }
 
-// --- (g) Plan-time specialization --------------------------------------------
+// --- (f) Plan-time specialization --------------------------------------------
 
 /// Builds a specializing engine over `model` and checks its output against
 /// the model's own eval forward on the traced batch and on a batch the plan
@@ -441,77 +434,7 @@ TEST(InferEngineTest, UnplannableModelFallsBackToPredict) {
   EXPECT_EQ(engine.plan_for(batch.batch_size()), nullptr);
 }
 
-// --- (e) Serving session -----------------------------------------------------
-
-TEST(InferSessionTest, CoalescesRequestsAndSlicesResults) {
-  const int64_t requests_before =
-      obs::GetCounter("infer.requests").Value();
-  muse::MuseNet model(TinyMuseConfig(), 5);
-
-  std::vector<data::Batch> singles;
-  for (uint64_t i = 0; i < 6; ++i) {
-    singles.push_back(TinyBatch(TinySpec(), 3, 4, 40 + i, /*batch=*/1));
-  }
-
-  std::vector<ts::Tensor> results;
-  {
-    infer::SessionOptions options;
-    options.max_batch = 4;
-    options.max_wait_ms = 5.0;
-    infer::InferenceSession session(model, options);
-    std::vector<std::future<ts::Tensor>> futures;
-    for (data::Batch& b : singles) futures.push_back(session.Submit(b));
-    for (auto& f : futures) results.push_back(f.get());
-    session.Shutdown();
-  }
-
-  // References after shutdown: the session's engine put the shared model in
-  // eval mode, so a direct Predict now sees the same deterministic path.
-  for (size_t i = 0; i < singles.size(); ++i) {
-    const ts::Tensor ref = model.Predict(singles[i]);
-    EXPECT_LE(MaxAbsDiff(results[i], ref), 1e-6f) << "request " << i;
-  }
-  EXPECT_EQ(obs::GetCounter("infer.requests").Value(),
-            requests_before + static_cast<int64_t>(singles.size()));
-}
-
-TEST(InferSessionTest, SubmitAfterShutdownRejects) {
-  muse::MuseNet model(TinyMuseConfig(), 5);
-  infer::InferenceSession session(model);
-  session.Shutdown();
-  auto future = session.Submit(TinyBatch(TinySpec(), 3, 4, 40, /*batch=*/1));
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(InferSessionTest, ExpiredRequestTimesOutInsteadOfDispatching) {
-  const int64_t timed_out_before =
-      obs::GetCounter("infer.requests_timed_out").Value();
-  muse::MuseNet model(TinyMuseConfig(), 5);
-
-  infer::SessionOptions options;
-  options.max_batch = 4;
-  options.max_wait_ms = 500.0;  // Batch stays open until it fills.
-  infer::InferenceSession session(model, options);
-
-  // The first request's 1ms deadline expires while the dispatcher holds the
-  // under-full batch open; the three fillers then complete the batch and the
-  // expired request must surface as DeadlineExceededError, not a late value.
-  auto doomed = session.Submit(TinyBatch(TinySpec(), 3, 4, 50, /*batch=*/1),
-                               /*deadline_ms=*/1.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::vector<std::future<ts::Tensor>> live;
-  for (uint64_t i = 0; i < 3; ++i) {
-    live.push_back(session.Submit(TinyBatch(TinySpec(), 3, 4, 51 + i,
-                                            /*batch=*/1)));
-  }
-  EXPECT_THROW(doomed.get(), infer::DeadlineExceededError);
-  for (auto& f : live) EXPECT_NO_THROW(f.get());
-  session.Shutdown();
-  EXPECT_GE(obs::GetCounter("infer.requests_timed_out").Value(),
-            timed_out_before + 1);
-}
-
-// --- (f) Conv2d workspace keeps eval forwards off the pool -------------------
+// --- (e) Conv2d workspace keeps eval forwards off the pool -------------------
 
 TEST(Conv2dWorkspaceTest, RepeatedEvalForwardStopsFreshAllocations) {
   ts::StoragePool& pool = ts::StoragePool::Instance();

@@ -499,6 +499,30 @@ TEST(StageCacheTest, SanitizeKeepsNamesFilesystemSafe) {
   EXPECT_EQ(StageCache::Sanitize("eval v2.1"), "eval_v2.1");
 }
 
+// Fills 4 KiB of stack with 0xA5, so the frame of the next call at the same
+// depth starts out on that pattern instead of on zeroes.
+[[gnu::noinline]] void DirtyStack() {
+  volatile unsigned char junk[4096];
+  for (size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+TEST(StageCacheTest, EntryHeaderPaddingIsZero) {
+  const std::string dir = FreshDir("padding");
+  StageCache cache(dir);
+  const uint64_t key = 0x5eed;
+  DirtyStack();
+  ASSERT_TRUE(cache.Store("s", key, "stage=s\n", "payload").ok());
+  auto bytes = util::ReadFileToString(dir + "/" + StageCache::Sanitize("s") +
+                                      "-" + util::HashHex(key) + ".stage");
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  // The header's fields (magic, key, payload_size, payload_crc) fill bytes
+  // 0-27; bytes 28-31 are padding and must not carry stack contents.
+  ASSERT_GE(bytes->size(), 32u);
+  for (size_t i = 28; i < 32; ++i) {
+    EXPECT_EQ(static_cast<unsigned char>((*bytes)[i]), 0) << "byte " << i;
+  }
+}
+
 // --- Flow provenance ------------------------------------------------------
 
 sim::FlowSeries SmallFlows() {

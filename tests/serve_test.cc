@@ -1,6 +1,8 @@
 // Coverage for the multi-tenant serving layer (src/serve):
 // (a) a registry-loaded plan predicts exactly what the checkpointed model
-//     predicts (the engine-vs-model shadow gate held at serve time);
+//     predicts (the engine-vs-model shadow gate held at serve time), and the
+//     service coalesces single-grid requests into batches and slices each
+//     request's prediction back out;
 // (b) hot-swap: Swap() bumps the version atomically, requests admitted after
 //     the swap acknowledgment are never served by the old plan, and in-flight
 //     work drains on the plan it started with (refcount reclamation);
@@ -12,9 +14,10 @@
 //     and the final state serves the final weights (run under TSan in CI);
 // (e) a registry-served plan honors the engine's zero-allocation
 //     steady-state replay contract (global operator-new counter);
-// (f) admission control: bounded-queue shedding under both policies, token
-//     bucket limits, deadline expiry in queue, and a slow-replay latency
-//     spike degrading into shedding rather than collapse;
+// (f) admission control: bounded-queue shedding under both policies (an
+//     unknown policy name is an error), token bucket limits, deadline expiry
+//     in queue, and a slow-replay latency spike degrading into shedding
+//     rather than collapse;
 // (g) drain semantics: outstanding requests complete, later submits are
 //     rejected, and the diurnal load generator's report reconciles with the
 //     serve.* counters.
@@ -25,6 +28,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +58,7 @@
 #include "util/fault_injector.h"
 #include "util/io.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace musenet {
 namespace {
@@ -175,6 +180,42 @@ TEST(ServeRegistryTest, DuplicateTenantAndUnknownTenantAreErrors) {
   EXPECT_EQ(registry.Acquire("nope"), nullptr);
   EXPECT_EQ(registry.version("nope"), 0);
   EXPECT_FALSE(registry.Swap("nope").ok());
+}
+
+TEST(ServeServiceTest, CoalescesRequestsAndSlicesResults) {
+  const std::string path = TempPath("serve_coalesce.tnsr");
+  WriteModelContainer(path, 13);
+
+  serve::ModelRegistry registry;
+  ASSERT_TRUE(registry.Load(TinySpecFor("bike", path)).ok());
+  const int64_t requests_before = CounterValue("serve.requests");
+
+  std::vector<data::Batch> singles;
+  for (uint64_t i = 0; i < 6; ++i) singles.push_back(TinyBatch(3, 4, 40 + i));
+
+  std::vector<ts::Tensor> results;
+  {
+    serve::ServiceOptions sopts;
+    sopts.max_batch = 4;
+    sopts.max_wait_ms = 5.0;
+    serve::ForecastService service(registry, sopts);
+    std::vector<std::future<ts::Tensor>> futures;
+    for (const data::Batch& b : singles) {
+      futures.push_back(service.Submit("bike", b));
+    }
+    for (auto& f : futures) results.push_back(f.get());
+    service.Drain();
+  }
+
+  // References after drain: the dispatchers have joined, so the loaded
+  // model's own eval forward no longer races the engine replaying over it.
+  auto plan = registry.Acquire("bike");
+  for (size_t i = 0; i < singles.size(); ++i) {
+    EXPECT_LE(MaxAbsDiff(results[i], plan->model->Predict(singles[i])), 1e-6f)
+        << "request " << i;
+  }
+  EXPECT_EQ(CounterValue("serve.requests"),
+            requests_before + static_cast<int64_t>(singles.size()));
 }
 
 // --- (b) Hot swap ------------------------------------------------------------
@@ -473,6 +514,27 @@ TEST(ServeServiceTest, DropOldestPolicyCompletesTheNewestRequest) {
     }
   }
   EXPECT_GT(shed, 0);
+}
+
+TEST(ServeServiceTest, ShedPolicyNamesParseAndUnknownNamesAreRejected) {
+  const std::pair<const char*, serve::ShedPolicy> known[] = {
+      {"reject", serve::ShedPolicy::kRejectNewest},
+      {"oldest", serve::ShedPolicy::kDropOldest},
+      {"drop-oldest", serve::ShedPolicy::kDropOldest},
+  };
+  for (const auto& [name, policy] : known) {
+    const Result<serve::ShedPolicy> parsed = serve::ParseShedPolicy(name);
+    ASSERT_TRUE(parsed.ok()) << name;
+    EXPECT_EQ(*parsed, policy) << name;
+  }
+  for (const char* name : {"bogus", "", "Reject", "newest"}) {
+    const Result<serve::ShedPolicy> parsed = serve::ParseShedPolicy(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("reject, oldest, drop-oldest"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(ServeServiceTest, TokenBucketLimitsAdmissionRate) {

@@ -63,7 +63,7 @@ run "$M" bench-infer --flows taxi.bin --ckpt m.ckpt --d 4 --k 8 --iters 20 \
 run "$M" bench-infer --flows taxi.bin --ckpt m.ckpt --d 4 --k 8 --iters 20 \
   --batch 1 --specialize 1 --out infer_spec.json
 run "$M" serve --flows taxi.bin --ckpt m.ckpt --d 4 --k 8 --requests 200 \
-  --clients 4 --max-batch 8 --max-wait-ms 2 --specialize 1 \
+  --max-batch 8 --max-wait-ms 2 --specialize 1 \
   --trace-out serve_trace.json --metrics-out serve_metrics.json
 # Multi-tenant serve: loadgen, admission, quality, the HTTP endpoints and
 # one hot swap.

@@ -9,13 +9,12 @@
 //
 // `simulate` writes a FlowSeries container; `train` fits MUSE-Net on it and
 // writes a checkpoint; `evaluate` reports test metrics; `predict` prints one
-// frame's forecast next to the ground truth; `serve` runs the batched
-// inference session against simulated clients (or, with --models, the
-// multi-tenant hot-swap serving stack; --obs-port exposes live /metrics,
-// /healthz and /statusz over HTTP); `bench-infer` times the
-// graph-free engine against the autograd Predict path. Model
-// hyper-parameters at train and load time must match (the checkpoint loader
-// validates shapes).
+// frame's forecast next to the ground truth; `serve` runs the multi-tenant
+// hot-swap serving stack (`--ckpt X` alone serves the one tenant
+// `default=X`; --obs-port exposes live /metrics, /healthz and /statusz over
+// HTTP); `bench-infer` times the graph-free engine against the autograd
+// Predict path. Model hyper-parameters at train and load time must match
+// (the checkpoint loader validates shapes).
 
 #include <algorithm>
 #include <atomic>
@@ -28,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -36,7 +34,6 @@
 #include "data/dataset.h"
 #include "eval/evaluate.h"
 #include "infer/engine.h"
-#include "infer/session.h"
 #include "obs/expo.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -101,7 +98,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Shared --obs-port / --postmortem handling for the serving commands.
+/// --obs-port / --postmortem handling for `serve`.
 /// Starts the exposition server when --obs-port is present (0 = ephemeral;
 /// the bound port is printed so scripts can scrape it) and arms the
 /// flight-recorder post-mortem when --postmortem names a dump path.
@@ -120,8 +117,8 @@ bool StartObservability(const Args& args,
     return false;
   }
   *server = std::move(started).value();
-  std::printf("obs: listening on 127.0.0.1:%d (/metrics /healthz%s)\n",
-              (*server)->port(), args.Has("models") ? " /statusz" : "");
+  std::printf("obs: listening on 127.0.0.1:%d (/metrics /healthz /statusz)\n",
+              (*server)->port());
   // Scrape drills read the bound port from a redirected log while the
   // process is still serving; don't leave the line in the stdio buffer.
   std::fflush(stdout);
@@ -350,101 +347,6 @@ double Percentile(std::vector<double> sorted_ms, double q) {
   return sorted_ms[lo] * (1.0 - frac) + sorted_ms[hi] * frac;
 }
 
-/// `serve --models ...`: the multi-tenant ModelRegistry/ForecastService path
-/// (hot-swap, admission control, load generation). Defined after the signal
-/// token it shares with `pipeline`.
-int ServeMulti(const Args& args);
-
-/// `serve`: drives the batched InferenceSession with simulated clients, each
-/// submitting single-grid requests drawn round-robin from the test split.
-/// Reports throughput and client-observed latency; --trace-out /
-/// --metrics-out dump the obs layer afterwards (infer.requests,
-/// infer.batch_size, infer.latency_ms, infer.batch spans).
-/// With --models the command switches to the multi-tenant serving path.
-int Serve(const Args& args) {
-  if (args.Has("models")) return ServeMulti(args);
-  auto loaded = LoadForModel(args);
-  if (!loaded.ok()) return Fail(loaded.status());
-  auto model = LoadModel(args, loaded->config);
-  if (!model.ok()) return Fail(model.status());
-
-  const int requests = args.GetInt("requests", 256);
-  const int clients = std::max(1, args.GetInt("clients", 4));
-  infer::SessionOptions options;
-  options.max_batch = args.GetInt("max-batch", 8);
-  options.max_wait_ms = args.GetDouble("max-wait-ms", 2.0);
-  options.engine.specialize = args.GetInt("specialize", 0) != 0;
-  const std::string trace_out = args.Get("trace-out", "");
-  const std::string metrics_out = args.Get("metrics-out", "");
-  if (!trace_out.empty()) obs::StartTracing();
-  std::unique_ptr<obs::ExpoServer> obs_server;
-  if (!StartObservability(args, &obs_server)) return 2;
-
-  const auto& test = loaded->dataset.test_indices();
-  if (test.empty()) {
-    std::fprintf(stderr, "error: dataset has no test samples\n");
-    return 1;
-  }
-
-  infer::InferenceSession session(**model, options);
-  std::vector<std::vector<double>> latencies(
-      static_cast<size_t>(clients));
-  util::Stopwatch wall;
-  std::vector<std::thread> workers;
-  for (int c = 0; c < clients; ++c) {
-    const int share = requests / clients + (c < requests % clients ? 1 : 0);
-    workers.emplace_back([&, c, share] {
-      for (int i = 0; i < share; ++i) {
-        const size_t sample = static_cast<size_t>(c + i * clients);
-        data::Batch request =
-            loaded->dataset.MakeBatch({test[sample % test.size()]});
-        util::Stopwatch rtt;
-        tensor::Tensor pred = session.Submit(std::move(request)).get();
-        latencies[static_cast<size_t>(c)].push_back(rtt.ElapsedMillis());
-        (void)pred;
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  const double elapsed_s = wall.ElapsedSeconds();
-  session.Shutdown();
-
-  std::vector<double> all;
-  for (const auto& per_client : latencies) {
-    all.insert(all.end(), per_client.begin(), per_client.end());
-  }
-  const int64_t batches = obs::GetCounter("infer.batches").Value();
-  std::printf(
-      "served %zu requests from %d clients in %.2fs (%.1f req/s, %lld "
-      "batches, max_batch=%d, max_wait_ms=%.1f)\n",
-      all.size(), clients, elapsed_s,
-      static_cast<double>(all.size()) / elapsed_s,
-      static_cast<long long>(batches), options.max_batch,
-      options.max_wait_ms);
-  std::printf("latency ms: p50 %.3f  p99 %.3f\n", Percentile(all, 0.5),
-              Percentile(all, 0.99));
-  if (options.engine.specialize) {
-    std::printf(
-        "specialization: plans_adopted=%lld plans_rejected=%lld\n",
-        static_cast<long long>(
-            obs::GetCounter("infer.engine.spec_builds").Value()),
-        static_cast<long long>(
-            obs::GetCounter("infer.engine.spec_rejected").Value()));
-  }
-
-  if (!trace_out.empty()) {
-    const Status wrote = obs::StopTracingAndWrite(trace_out);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote trace %s\n", trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    const Status wrote = obs::WriteMetricsSnapshot(metrics_out);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote metrics %s\n", metrics_out.c_str());
-  }
-  return 0;
-}
-
 /// `bench-infer`: single-process latency comparison of the planned engine
 /// against the autograd Predict path at a fixed batch size, plus planned
 /// throughput. Writes a JSON record when --out is given (consumed by
@@ -617,10 +519,17 @@ extern "C" void HandleSigint(int) {
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
-/// One `--models` entry per tenant: name=ckpt.
+/// One `--models` entry per tenant: name=ckpt. Without --models, --ckpt X
+/// serves as the single tenant default=X.
 bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
                      std::vector<serve::ModelSpec>* out) {
-  for (const std::string& entry : StrSplit(args.Get("models", ""), ',')) {
+  if (!args.Has("models") && !args.Has("ckpt")) {
+    std::fprintf(stderr, "error: serve needs --ckpt or --models\n");
+    return false;
+  }
+  const std::string models =
+      args.Get("models", "default=" + args.Get("ckpt", ""));
+  for (const std::string& entry : StrSplit(models, ',')) {
     const size_t eq = entry.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
       std::fprintf(stderr, "error: --models entries are name=ckpt; got '%s'\n",
@@ -634,10 +543,6 @@ bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
     spec.engine.specialize = args.GetInt("specialize", 0) != 0;
     spec.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
     out->push_back(std::move(spec));
-  }
-  if (out->empty()) {
-    std::fprintf(stderr, "error: --models must name at least one tenant\n");
-    return false;
   }
   return true;
 }
@@ -790,14 +695,20 @@ int RunServingBench(serve::ForecastService& service, const std::string& tenant,
   return 0;
 }
 
-/// The multi-tenant serving path behind `serve --models`. Registers every
-/// tenant in a ModelRegistry (shadow-validated against held-out probes),
+/// `serve`: registers every tenant (--models, or --ckpt as the single tenant
+/// `default`) in a ModelRegistry (shadow-validated against held-out probes),
 /// fronts it with a ForecastService (bounded queues, token buckets,
 /// deadline-aware shedding), optionally watches containers for hot-swap, and
 /// drives it with either a fixed request count, the diurnal load generator
 /// (--loadgen), or the serving bench (--bench). SIGINT/SIGTERM drain
 /// gracefully: stop issuing, run queues dry, flush telemetry, exit 0.
-int ServeMulti(const Args& args) {
+int Serve(const Args& args) {
+  auto shed_policy = serve::ParseShedPolicy(args.Get("shed-policy", "reject"));
+  if (!shed_policy.ok()) {
+    std::fprintf(stderr, "error: --shed-policy: %s\n",
+                 shed_policy.status().ToString().c_str());
+    return 2;
+  }
   auto loaded = LoadForModel(args);
   if (!loaded.ok()) return Fail(loaded.status());
 
@@ -838,7 +749,7 @@ int ServeMulti(const Args& args) {
   sopts.max_wait_ms = args.GetDouble("max-wait-ms", 2.0);
   sopts.max_queue = args.GetInt("max-queue", 64);
   sopts.deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  sopts.shed_policy = serve::ParseShedPolicy(args.Get("shed-policy", "reject"));
+  sopts.shed_policy = *shed_policy;
   sopts.rate_rps = args.GetDouble("rate-rps", 0.0);
   sopts.burst = args.GetDouble("burst", 0.0);
   sopts.monitor_quality = args.GetInt("quality", 0) != 0;
@@ -937,6 +848,13 @@ int ServeMulti(const Args& args) {
     std::printf("served %lld requests across %zu tenants (%lld failed)\n",
                 static_cast<long long>(completed), specs.size(),
                 static_cast<long long>(failed));
+    const obs::MetricsSnapshot snapshot = obs::Registry::Instance().Snapshot();
+    const auto latency = snapshot.histograms.find("serve.latency_ms");
+    if (latency != snapshot.histograms.end() && latency->second.total > 0) {
+      std::printf("latency ms: p50 %.3f  p99 %.3f\n",
+                  obs::HistogramPercentile(latency->second, 0.50),
+                  obs::HistogramPercentile(latency->second, 0.99));
+    }
   }
 
   // Graceful drain: stop the watcher, run every queue dry, then flush
@@ -1068,15 +986,15 @@ int Usage() {
       "            [--run-log FILE] [--run-log-timings 0|1]\n"
       "  evaluate  --flows FILE --ckpt FILE [--d D] [--k K]\n"
       "  predict   --flows FILE --ckpt FILE --index I [--d D] [--k K]\n"
-      "  serve     --flows FILE --ckpt FILE [--requests N] [--clients C]\n"
-      "            [--max-batch B] [--max-wait-ms W] [--d D] [--k K]\n"
-      "            [--specialize 0|1] [--trace-out FILE]\n"
-      "            [--metrics-out FILE]\n"
-      "            [--obs-port P]  (HTTP /metrics /healthz; 0 = ephemeral,\n"
-      "            bound port is printed)  [--postmortem FILE]  (flight-\n"
+      "  serve     --flows FILE (--ckpt FILE | --models name=ckpt,...)\n"
+      "            (--ckpt FILE alone serves the one tenant default=FILE)\n"
+      "            [--requests N] [--max-batch B] [--max-wait-ms W]\n"
+      "            [--d D] [--k K] [--specialize 0|1] [--probes N]\n"
+      "            [--trace-out FILE] [--metrics-out FILE]\n"
+      "            [--obs-port P]  (HTTP /metrics /healthz /statusz; 0 =\n"
+      "            ephemeral, bound port is printed; /statusz?dump=1 dumps\n"
+      "            the flight recorder)  [--postmortem FILE]  (flight-\n"
       "            recorder dump on fatal signal / shadow rejection)\n"
-      "            Multi-tenant mode (hot-swap + admission control):\n"
-      "            --models name=ckpt,...  [--probes N]\n"
       "            [--hot-swap-watch 0|1] [--watch-interval-ms MS]\n"
       "            [--max-queue Q] [--deadline-ms MS]\n"
       "            [--shed-policy reject|oldest] [--rate-rps R] [--burst B]\n"
@@ -1085,8 +1003,6 @@ int Usage() {
       "            [--sim-days N] [--run-log FILE]\n"
       "            [--bench 0|1] [--bench-out FILE] [--load-mults 1,4,8]\n"
       "            [--calib-s S] [--phase-s S] [--max-outstanding N]\n"
-      "            --obs-port additionally serves /statusz (JSON tenant +\n"
-      "            queue + drift status; ?dump=1 dumps the flight recorder)\n"
       "            SIGINT/SIGTERM drain queues, flush telemetry, exit 0.\n"
       "  bench-infer --flows FILE --ckpt FILE [--iters N] [--batch B]\n"
       "            [--specialize 0|1] [--d D] [--k K] [--out FILE]\n"

@@ -20,7 +20,7 @@ python checks in ci.yml).
 
 Usage:
   tools/trace_summary.py trace.json [--top 10] [--requests 5]
-      [--assert-spans infer.batch,infer.run]
+      [--assert-spans serve.batch,infer.run]
 
 Stdlib only. Exit status: 0, or 1 when an --assert-spans name is missing.
 """
