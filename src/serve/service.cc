@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "obs/flight.h"
@@ -23,12 +25,26 @@ Result<ShedPolicy> ParseShedPolicy(const std::string& name) {
                                  "'; accepted: reject, oldest, drop-oldest");
 }
 
+Status ValidateServiceOptions(const ServiceOptions& options) {
+  const struct { const char* field; double value, min; } checks[] = {
+      {"max_batch", static_cast<double>(options.max_batch), 1.0},
+      {"max_queue", static_cast<double>(options.max_queue), 1.0},
+      {"deadline_ms", options.deadline_ms, 0.0},
+      {"rate_rps", options.rate_rps, 0.0}};
+  for (const auto& [field, value, min] : checks) {
+    if (std::isfinite(value) && value >= min) continue;
+    std::ostringstream message;
+    message << field << " must be finite and >= " << min << ", got " << value;
+    return Status::InvalidArgument(message.str());
+  }
+  return Status::OK();
+}
+
 ForecastService::ForecastService(ModelRegistry& registry,
                                  ServiceOptions options)
     : registry_(registry), options_(options) {
-  MUSE_CHECK(options_.max_batch >= 1) << "max_batch must be >= 1";
-  MUSE_CHECK(options_.max_queue >= 1) << "max_queue must be >= 1";
-  MUSE_CHECK(options_.max_wait_ms >= 0.0) << "max_wait_ms must be >= 0";
+  const Status valid = ValidateServiceOptions(options_);
+  MUSE_CHECK(valid.ok()) << valid.ToString();
   for (const std::string& name : registry_.TenantNames()) {
     auto state = std::make_unique<TenantState>();
     state->name = name;
@@ -166,8 +182,6 @@ void ForecastService::DispatchLoop(TenantState& tenant) {
   auto& batch_size_hist =
       obs::GetHistogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64});
   auto& completed = obs::GetCounter("serve.completed");
-  const auto wait = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double, std::milli>(options_.max_wait_ms));
 
   for (;;) {
     std::vector<Pending> group;
@@ -178,15 +192,9 @@ void ForecastService::DispatchLoop(TenantState& tenant) {
                !tenant.queue.empty();
       });
       if (tenant.queue.empty()) return;  // Draining with a dry queue.
-      const auto deadline = std::chrono::steady_clock::now() + wait;
-      tenant.cv.wait_until(lock, deadline, [this, &tenant] {
-        return draining_.load(std::memory_order_acquire) ||
-               static_cast<int>(tenant.queue.size()) >= options_.max_batch;
-      });
-      // Expired requests complete with DeadlineError instead of occupying a
-      // batch slot; live ones fill the group up to max_batch.
+      // Work-conserving: batch what is queued now, up to max_batch. Expired
+      // requests complete with DeadlineError instead of taking a slot.
       const int64_t now_ns = util::MonotonicNowNanos();
-      group.reserve(static_cast<size_t>(options_.max_batch));
       while (!tenant.queue.empty() &&
              static_cast<int>(group.size()) < options_.max_batch) {
         Pending p = std::move(tenant.queue.front());
@@ -226,10 +234,8 @@ void ForecastService::DispatchLoop(TenantState& tenant) {
           std::chrono::duration<double, std::milli>(slow_ms));
     }
 
-    data::Batch merged;
-    if (n == 1) {
-      merged = group[0].batch;
-    } else {
+    data::Batch merged;  // A batch of one replays its request in place.
+    if (n > 1) {
       std::vector<ts::Tensor> closeness, period, trend, target;
       closeness.reserve(group.size());
       period.reserve(group.size());
@@ -251,7 +257,8 @@ void ForecastService::DispatchLoop(TenantState& tenant) {
     }
 
     plan->engine->set_trace_request_id(group[0].request_id);
-    ts::Tensor prediction = plan->engine->Predict(merged);
+    ts::Tensor prediction =
+        plan->engine->Predict(n == 1 ? group[0].batch : merged);
     plan->engine->set_trace_request_id(-1);
     const int64_t done_ns = util::MonotonicNowNanos();
 
@@ -309,13 +316,6 @@ void ForecastService::Drain() {
   for (auto& [name, state] : tenants_) {
     if (state->dispatcher.joinable()) state->dispatcher.join();
   }
-}
-
-int64_t ForecastService::queue_depth(const std::string& tenant) const {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return 0;
-  std::lock_guard<std::mutex> lock(it->second->mu);
-  return static_cast<int64_t>(it->second->queue.size());
 }
 
 ForecastService::TenantRuntime ForecastService::runtime(

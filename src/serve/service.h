@@ -55,8 +55,7 @@ Result<ShedPolicy> ParseShedPolicy(const std::string& name);
 
 /// Per-tenant admission and batching policy.
 struct ServiceOptions {
-  int max_batch = 8;        ///< Largest coalesced batch per tenant.
-  double max_wait_ms = 2.0; ///< Straggler wait for an under-full batch.
+  int max_batch = 8;  ///< Largest coalesced batch per tenant.
   /// Bound on queued (admitted, not yet dispatched) requests per tenant.
   int max_queue = 64;
   /// Default request deadline (admission to completion); 0 = none. A
@@ -75,13 +74,17 @@ struct ServiceOptions {
   QualityOptions quality;  ///< Monitor tuning when monitor_quality is set.
 };
 
+/// OK, or InvalidArgument naming the first out-of-range field. The
+/// ForecastService constructor aborts on anything else.
+Status ValidateServiceOptions(const ServiceOptions& options);
+
 /// Multi-tenant forecast frontend: admission control and batched dispatch
 /// over a ModelRegistry.
 ///
 /// Each tenant gets a bounded queue, a token bucket and one dispatcher
-/// thread that coalesces queued requests into batches (up to max_batch,
-/// waiting at most max_wait_ms for stragglers), runs the engine once per
-/// batch and slices the prediction back out per request. The engine is a
+/// thread that batches whatever is queued, up to max_batch (so only requests
+/// arriving during a replay coalesce), runs the engine once per batch and
+/// slices the prediction back out per request. The engine is a
 /// plan snapshot acquired per batch — so a hot-swap takes effect at the next
 /// batch boundary, in-flight batches drain on the plan they started with,
 /// and a request admitted after Swap() returns can never be served by the
@@ -123,11 +126,7 @@ class ForecastService {
   /// dispatchers. Idempotent; the destructor calls it.
   void Drain();
 
-  ModelRegistry& registry() { return registry_; }
   const ServiceOptions& options() const { return options_; }
-
-  /// Queued (admitted, undispatched) requests for `tenant` right now.
-  int64_t queue_depth(const std::string& tenant) const;
 
   /// Point-in-time runtime state of one tenant, for /statusz.
   struct TenantRuntime {

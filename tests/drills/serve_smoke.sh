@@ -13,7 +13,9 @@
 #    requests = admitted + shed, admitted = completed + timed_out, and the
 #    per-tenant admitted counts sum to the total. The trace carries the
 #    swap-protocol spans of the initial shadow-validated loads.
-# 3. An unknown --shed-policy is a usage error (exit 2).
+# 3. An unknown --shed-policy is a usage error (exit 2), and so is each
+#    out-of-range serve option (--max-batch 0 or x, --max-queue 0,
+#    --deadline-ms -5, --rate-rps -3).
 set -euo pipefail
 
 M=$1
@@ -27,7 +29,7 @@ cd "$T"
   --verbose 0
 
 MUSENET_NUM_THREADS=2 "$M" serve --flows flows.bin --ckpt model.ckpt \
-  --d 4 --k 8 --requests 300 --max-batch 8 --max-wait-ms 2 \
+  --d 4 --k 8 --requests 300 --max-batch 8 \
   --trace-out serve_trace.json --metrics-out serve_metrics.json | tee serve.log
 grep -q "served 300 requests" serve.log
 python3 -m json.tool serve_trace.json > /dev/null
@@ -49,7 +51,7 @@ PY
 MUSENET_NUM_THREADS=2 "$M" serve \
   --models "taxi=model.ckpt,taxi-b=model.ckpt" \
   --flows flows.bin --d 4 --k 8 \
-  --requests 400 --max-batch 8 --max-wait-ms 2 \
+  --requests 400 --max-batch 8 \
   --trace-out mt_trace.json --metrics-out mt_metrics.json | tee mt_serve.log
 grep -q "served 400 requests across 2 tenants (0 failed)" mt_serve.log
 grep -q "serve drained cleanly" mt_serve.log
@@ -71,5 +73,17 @@ status=0
   --shed-policy bogus 2> bogus.err || status=$?
 test "$status" -eq 2
 grep -q -- "--shed-policy" bogus.err
+
+# Out-of-range serve options exit 2 naming the flag, before any model loads.
+for bad in "max-batch 0" "max-batch x" "max-queue 0" "deadline-ms -5" \
+           "rate-rps -3"; do
+  read -r flag value <<< "$bad"
+  status=0
+  "$M" serve --flows flows.bin --ckpt model.ckpt --d 4 --k 8 --requests 1 \
+    "--$flag" "$value" > bad.out 2> bad.err || status=$?
+  test "$status" -eq 2
+  grep -q -- "error: --$flag: " bad.err
+  if grep -q "loaded tenant" bad.out; then exit 1; fi
+done
 
 echo "serve smoke drill passed"

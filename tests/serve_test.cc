@@ -1,8 +1,9 @@
 // Coverage for the multi-tenant serving layer (src/serve):
 // (a) a registry-loaded plan predicts exactly what the checkpointed model
-//     predicts (the engine-vs-model shadow gate held at serve time), and the
-//     service coalesces single-grid requests into batches and slices each
-//     request's prediction back out;
+//     predicts (the engine-vs-model shadow gate held at serve time); the
+//     service coalesces requests queued behind a replay into batches and
+//     slices each request's prediction back out, an idle dispatcher runs a
+//     lone request at once, and out-of-range options are rejected by name;
 // (b) hot-swap: Swap() bumps the version atomically, requests admitted after
 //     the swap acknowledgment are never served by the old plan, and in-flight
 //     work drains on the plan it started with (refcount reclamation);
@@ -22,10 +23,13 @@
 //     rejected, and the diurnal load generator's report reconciles with the
 //     serve.* counters.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -182,13 +186,19 @@ TEST(ServeRegistryTest, DuplicateTenantAndUnknownTenantAreErrors) {
   EXPECT_FALSE(registry.Swap("nope").ok());
 }
 
+obs::MetricsSnapshot::HistogramData BatchSizes() {
+  return obs::Registry::Instance().Snapshot().histograms["serve.batch_size"];
+}
+
 TEST(ServeServiceTest, CoalescesRequestsAndSlicesResults) {
+  InjectorGuard guard;
   const std::string path = TempPath("serve_coalesce.tnsr");
   WriteModelContainer(path, 13);
 
   serve::ModelRegistry registry;
   ASSERT_TRUE(registry.Load(TinySpecFor("bike", path)).ok());
   const int64_t requests_before = CounterValue("serve.requests");
+  const obs::MetricsSnapshot::HistogramData sizes_before = BatchSizes();
 
   std::vector<data::Batch> singles;
   for (uint64_t i = 0; i < 6; ++i) singles.push_back(TinyBatch(3, 4, 40 + i));
@@ -197,15 +207,23 @@ TEST(ServeServiceTest, CoalescesRequestsAndSlicesResults) {
   {
     serve::ServiceOptions sopts;
     sopts.max_batch = 4;
-    sopts.max_wait_ms = 5.0;
     serve::ForecastService service(registry, sopts);
+    // The first batch stalls, so the requests submitted behind it queue up
+    // and must leave together: at most 1 + ceil(5 / 4) batches.
+    util::FaultInjector::Instance().ArmSlowReplay(100.0);
     std::vector<std::future<ts::Tensor>> futures;
     for (const data::Batch& b : singles) {
       futures.push_back(service.Submit("bike", b));
     }
     for (auto& f : futures) results.push_back(f.get());
-    service.Drain();
+    service.Drain();  // Joins the dispatcher: every batch is observed.
   }
+  const obs::MetricsSnapshot::HistogramData sizes_after = BatchSizes();
+  EXPECT_EQ(util::FaultInjector::Instance().stats().slow_replays, 1);
+  const int64_t batches = sizes_after.total - sizes_before.total;
+  EXPECT_GE(batches, 2) << "max_batch 4 cannot carry 6 requests at once";
+  EXPECT_LE(batches, 3) << "requests queued behind a replay must coalesce";
+  EXPECT_EQ(sizes_after.sum - sizes_before.sum, 6.0);
 
   // References after drain: the dispatchers have joined, so the loaded
   // model's own eval forward no longer races the engine replaying over it.
@@ -216,6 +234,52 @@ TEST(ServeServiceTest, CoalescesRequestsAndSlicesResults) {
   }
   EXPECT_EQ(CounterValue("serve.requests"),
             requests_before + static_cast<int64_t>(singles.size()));
+}
+
+TEST(ServeServiceTest, IdleDispatcherDoesNotLinger) {
+  const std::string path = TempPath("serve_idle.tnsr");
+  WriteModelContainer(path, 14);
+
+  serve::ModelRegistry registry;
+  ASSERT_TRUE(registry.Load(TinySpecFor("bike", path)).ok());
+  serve::ForecastService service(registry);  // Default max_batch.
+  const data::Batch probe = TinyBatch(3, 4, 46);
+  service.Submit("bike", probe).get();  // Warm: compiles the batch-1 plan.
+
+  // A lone request on an idle tenant has no peer to wait for: it replays at
+  // once instead of lingering for stragglers that never arrive.
+  std::vector<double> millis;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    service.Submit("bike", probe).get();
+    millis.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
+  std::nth_element(millis.begin(), millis.begin() + 10, millis.end());
+  EXPECT_LT(millis[10], 2.0) << "median Submit-to-result time, ms";
+}
+
+TEST(ServeServiceTest, InvalidServiceOptionsNameTheirField) {
+  EXPECT_TRUE(serve::ValidateServiceOptions(serve::ServiceOptions{}).ok());
+  using Options = serve::ServiceOptions;
+  const auto expect_rejected = [](const char* field, auto set) {
+    Options options;
+    set(options);
+    const Status status = serve::ValidateServiceOptions(options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    // The CLI maps the leading field name to its flag (--max-batch).
+    EXPECT_EQ(status.message().rfind(field, 0), 0u) << status.ToString();
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  expect_rejected("max_batch", [](Options& o) { o.max_batch = 0; });
+  expect_rejected("max_queue", [](Options& o) { o.max_queue = 0; });
+  expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = -5.0; });
+  expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = kNaN; });
+  expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = kInf; });
+  expect_rejected("rate_rps", [](Options& o) { o.rate_rps = -3.0; });
+  expect_rejected("rate_rps", [](Options& o) { o.rate_rps = kNaN; });
 }
 
 // --- (b) Hot swap ------------------------------------------------------------
@@ -371,7 +435,6 @@ TEST(ServeStressTest, ConcurrentClientsAndSwapsSeeOnlyValidPlans) {
 
   serve::ServiceOptions sopts;
   sopts.max_batch = 4;
-  sopts.max_wait_ms = 0.5;
   sopts.max_queue = 256;
   serve::ForecastService service(registry, sopts);
 
@@ -454,7 +517,6 @@ TEST(ServeServiceTest, FullQueueShedsNewestByDefault) {
 
   serve::ServiceOptions sopts;
   sopts.max_batch = 1;
-  sopts.max_wait_ms = 0.0;
   sopts.max_queue = 2;
   serve::ForecastService service(registry, sopts);
 
@@ -493,7 +555,6 @@ TEST(ServeServiceTest, DropOldestPolicyCompletesTheNewestRequest) {
 
   serve::ServiceOptions sopts;
   sopts.max_batch = 1;
-  sopts.max_wait_ms = 0.0;
   sopts.max_queue = 1;
   sopts.shed_policy = serve::ShedPolicy::kDropOldest;
   serve::ForecastService service(registry, sopts);
@@ -565,7 +626,6 @@ TEST(ServeServiceTest, QueuedRequestPastDeadlineTimesOut) {
 
   serve::ServiceOptions sopts;
   sopts.max_batch = 1;
-  sopts.max_wait_ms = 0.0;
   sopts.max_queue = 8;
   serve::ForecastService service(registry, sopts);
 
@@ -591,7 +651,6 @@ TEST(ServeServiceTest, SlowReplaySpikeShedsInsteadOfCollapsing) {
 
   serve::ServiceOptions sopts;
   sopts.max_batch = 2;
-  sopts.max_wait_ms = 0.0;
   sopts.max_queue = 4;
   sopts.deadline_ms = 40.0;
   serve::ForecastService service(registry, sopts);

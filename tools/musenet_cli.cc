@@ -709,6 +709,23 @@ int Serve(const Args& args) {
                  shed_policy.status().ToString().c_str());
     return 2;
   }
+  serve::ServiceOptions sopts;
+  sopts.max_batch = args.GetInt("max-batch", 8);
+  sopts.max_queue = args.GetInt("max-queue", 64);
+  sopts.deadline_ms = args.GetDouble("deadline-ms", 0.0);
+  sopts.shed_policy = *shed_policy;
+  sopts.rate_rps = args.GetDouble("rate-rps", 0.0);
+  sopts.burst = args.GetDouble("burst", 0.0);
+  sopts.monitor_quality = args.GetInt("quality", 0) != 0;
+  if (const Status valid = serve::ValidateServiceOptions(sopts); !valid.ok()) {
+    // The message starts with the field name, and each field is named after
+    // its flag: max_batch is --max-batch.
+    std::string flag = valid.message().substr(0, valid.message().find(' '));
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    std::fprintf(stderr, "error: --%s: %s\n", flag.c_str(),
+                 valid.ToString().c_str());
+    return 2;
+  }
   auto loaded = LoadForModel(args);
   if (!loaded.ok()) return Fail(loaded.status());
 
@@ -744,15 +761,6 @@ int Serve(const Args& args) {
                 spec.path.c_str());
   }
 
-  serve::ServiceOptions sopts;
-  sopts.max_batch = args.GetInt("max-batch", 8);
-  sopts.max_wait_ms = args.GetDouble("max-wait-ms", 2.0);
-  sopts.max_queue = args.GetInt("max-queue", 64);
-  sopts.deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  sopts.shed_policy = *shed_policy;
-  sopts.rate_rps = args.GetDouble("rate-rps", 0.0);
-  sopts.burst = args.GetDouble("burst", 0.0);
-  sopts.monitor_quality = args.GetInt("quality", 0) != 0;
   serve::ForecastService service(registry, sopts);
 
   // The exposition server is declared after the service so its handlers
@@ -988,7 +996,8 @@ int Usage() {
       "  predict   --flows FILE --ckpt FILE --index I [--d D] [--k K]\n"
       "  serve     --flows FILE (--ckpt FILE | --models name=ckpt,...)\n"
       "            (--ckpt FILE alone serves the one tenant default=FILE)\n"
-      "            [--requests N] [--max-batch B] [--max-wait-ms W]\n"
+      "            [--requests N] [--max-batch B]  (an idle tenant runs a\n"
+      "            request at once; up to B queued requests share a batch)\n"
       "            [--d D] [--k K] [--specialize 0|1] [--probes N]\n"
       "            [--trace-out FILE] [--metrics-out FILE]\n"
       "            [--obs-port P]  (HTTP /metrics /healthz /statusz; 0 =\n"
