@@ -78,6 +78,28 @@ baselines::BaselineSizing MakeSizing(const data::TrafficDataset& dataset,
   return sizing;
 }
 
+namespace {
+
+/// The ablation variants MakeModel builds by name, in Table VI order.
+constexpr muse::MuseVariant kVariants[] = {
+    muse::MuseVariant::kWithoutSpatial,
+    muse::MuseVariant::kWithoutMultiDisentangle,
+    muse::MuseVariant::kWithoutSemanticPushing,
+    muse::MuseVariant::kWithoutSemanticPulling};
+
+}  // namespace
+
+std::vector<std::string> ModelNames() {
+  std::vector<std::string> names = {"MUSE-Net"};
+  for (muse::MuseVariant variant : kVariants) {
+    names.push_back(muse::VariantName(variant));
+  }
+  for (const std::string& name : baselines::AllBaselineNames()) {
+    names.push_back(name);
+  }
+  return names;
+}
+
 std::unique_ptr<eval::Forecaster> MakeModel(const std::string& name,
                                             const data::TrafficDataset& ds,
                                             const ExperimentContext& ctx) {
@@ -85,11 +107,7 @@ std::unique_ptr<eval::Forecaster> MakeModel(const std::string& name,
     return std::make_unique<muse::MuseNet>(MakeMuseConfig(ds, ctx),
                                            ctx.scale.seed);
   }
-  for (muse::MuseVariant variant :
-       {muse::MuseVariant::kWithoutSpatial,
-        muse::MuseVariant::kWithoutMultiDisentangle,
-        muse::MuseVariant::kWithoutSemanticPushing,
-        muse::MuseVariant::kWithoutSemanticPulling}) {
+  for (muse::MuseVariant variant : kVariants) {
     if (name == muse::VariantName(variant)) {
       return muse::MakeMuseVariant(MakeMuseConfig(ds, ctx), variant,
                                    ctx.scale.seed);

@@ -50,6 +50,10 @@ muse::MuseNetConfig MakeMuseConfig(const data::TrafficDataset& dataset,
 baselines::BaselineSizing MakeSizing(const data::TrafficDataset& dataset,
                                      const ExperimentContext& ctx);
 
+/// Every name MakeModel accepts: "MUSE-Net", the four MUSE variant names,
+/// then baselines::AllBaselineNames().
+std::vector<std::string> ModelNames();
+
 /// Creates a forecaster by table name: "MUSE-Net", a MUSE variant name, or
 /// any baseline name from baselines::AllBaselineNames().
 std::unique_ptr<eval::Forecaster> MakeModel(const std::string& name,

@@ -10,6 +10,7 @@
 #include "sim/serialize.h"
 #include "tensor/serialize.h"
 #include "util/check.h"
+#include "util/string_util.h"
 
 namespace musenet::bench {
 
@@ -464,6 +465,13 @@ Result<OneStepGraph> BuildOneStepGraph(
     const std::vector<sim::DatasetId>& datasets,
     const std::vector<std::string>& models, int64_t horizon_offset,
     eval::TimeBucket bucket, const std::vector<TrainOverride>& overrides) {
+  const std::vector<std::string> known = ModelNames();
+  for (const std::string& model : models) {
+    if (std::find(known.begin(), known.end(), model) == known.end()) {
+      return Status::InvalidArgument("unknown model '" + model +
+                                     "'; known: " + StrJoin(known, ","));
+    }
+  }
   OneStepGraph graph;
   graph.datasets = datasets;
   for (const sim::DatasetId id : datasets) {

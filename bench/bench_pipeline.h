@@ -125,6 +125,8 @@ struct OneStepGraph {
   std::vector<std::vector<int>> eval_stages;
 };
 
+/// InvalidArgument naming the first entry of `models` that ModelNames()
+/// does not list, before any stage is added.
 Result<OneStepGraph> BuildOneStepGraph(
     pipeline::Pipeline* p, const ExperimentContext& ctx,
     const std::vector<sim::DatasetId>& datasets,

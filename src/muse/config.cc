@@ -1,8 +1,25 @@
 #include "muse/config.h"
 
+#include <string>
+
 #include "util/check.h"
 
 namespace musenet::muse {
+
+Status ValidateMuseNetConfig(const MuseNetConfig& config) {
+  const struct { const char* field; int64_t value, min; } checks[] = {
+      {"grid_h", config.grid_h, 1},
+      {"grid_w", config.grid_w, 1},
+      {"repr_dim", config.repr_dim, 1},
+      {"dist_dim", config.dist_dim, 4}};
+  for (const auto& [field, value, min] : checks) {
+    if (value >= min) continue;
+    return Status::InvalidArgument(std::string(field) + " must be >= " +
+                                   std::to_string(min) + ", got " +
+                                   std::to_string(value));
+  }
+  return Status::OK();
+}
 
 MuseNetConfig ApplyVariant(MuseNetConfig config, MuseVariant variant) {
   switch (variant) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "data/interception.h"
+#include "util/status.h"
 
 namespace musenet::muse {
 
@@ -55,6 +56,12 @@ struct MuseNetConfig {
 
   int64_t exclusive_dist_dim() const { return dist_dim / 4; }
 };
+
+/// OK, or InvalidArgument naming the first out-of-range field: a grid side
+/// or repr_dim below 1, or a dist_dim below 4 (which would leave the
+/// exclusive encoders no dimensions). The MuseNet constructor aborts on
+/// anything else.
+Status ValidateMuseNetConfig(const MuseNetConfig& config);
 
 /// The five rows of the paper's ablation Table VI.
 enum class MuseVariant {

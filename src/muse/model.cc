@@ -31,6 +31,8 @@ constexpr int kReconPairFor[3] = {0 /*c→(c,p)*/, 2 /*p→(p,t)*/,
 
 MuseNet::MuseNet(MuseNetConfig config, uint64_t seed)
     : config_(config), rng_(seed) {
+  const Status valid = ValidateMuseNetConfig(config_);
+  MUSE_CHECK(valid.ok()) << valid.ToString();
   // The reparameterization stream advances every stochastic forward pass;
   // registering it puts it in checkpoints, so resumed runs draw the same
   // noise.
@@ -39,7 +41,6 @@ MuseNet::MuseNet(MuseNetConfig config, uint64_t seed)
   const int64_t d = config_.repr_dim;
   const int64_t k = config_.dist_dim;
   const int64_t k_excl = config_.exclusive_dist_dim();
-  MUSE_CHECK_GT(k_excl, 0) << "dist_dim must be >= 4";
   const float clamp = config_.logvar_clamp;
 
   const int64_t channels[3] = {config_.periodicity.ClosenessChannels(),

@@ -100,8 +100,7 @@ LoadGenReport RunLoadGen(ForecastService& service, const std::string& tenant,
         sim_intervals - 1,
         static_cast<int64_t>(progress * static_cast<double>(sim_intervals)));
     const double rate =
-        options.flat ? options.peak_rps
-                     : options.peak_rps * city.ProfileAt(sim_t) / peak_profile;
+        options.peak_rps * city.ProfileAt(sim_t) / peak_profile;
 
     // Poisson arrivals: exponential inter-arrival at the current rate. The
     // night trough can push the gap past the run end; clamp so the run

@@ -27,9 +27,6 @@ struct LoadGenOptions {
   int max_outstanding = 256;
   /// Per-request deadline forwarded to Submit (<0 = service default).
   double deadline_ms = -1.0;
-  /// Ignore the diurnal profile and arrive at a flat peak_rps (bench mode:
-  /// "Nx sustainable load" needs a constant rate, not a daily curve).
-  bool flat = false;
   /// Cooperative cancellation (SIGINT/SIGTERM drain): when set and true, the
   /// generator stops issuing and harvests what is outstanding.
   const std::atomic<bool>* cancel = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -18,23 +19,19 @@ namespace musenet::serve {
 
 namespace ts = musenet::tensor;
 
-Result<ShedPolicy> ParseShedPolicy(const std::string& name) {
-  if (name == "reject") return ShedPolicy::kRejectNewest;
-  if (name == "oldest" || name == "drop-oldest") return ShedPolicy::kDropOldest;
-  return Status::InvalidArgument("unknown shed policy '" + name +
-                                 "'; accepted: reject, oldest, drop-oldest");
-}
-
 Status ValidateServiceOptions(const ServiceOptions& options) {
-  const struct { const char* field; double value, min; } checks[] = {
-      {"max_batch", static_cast<double>(options.max_batch), 1.0},
-      {"max_queue", static_cast<double>(options.max_queue), 1.0},
-      {"deadline_ms", options.deadline_ms, 0.0},
-      {"rate_rps", options.rate_rps, 0.0}};
-  for (const auto& [field, value, min] : checks) {
-    if (std::isfinite(value) && value >= min) continue;
+  constexpr double kNoMax = std::numeric_limits<double>::max();
+  const struct { const char* field; double value, min, max; } checks[] = {
+      {"max_batch", static_cast<double>(options.max_batch), 1.0, kNoMax},
+      {"max_queue", static_cast<double>(options.max_queue), 1.0, kNoMax},
+      {"deadline_ms", options.deadline_ms, 0.0, kMaxDeadlineMs},
+      {"rate_rps", options.rate_rps, 0.0, kNoMax}};
+  for (const auto& [field, value, min, max] : checks) {
+    if (std::isfinite(value) && value >= min && value <= max) continue;
     std::ostringstream message;
-    message << field << " must be finite and >= " << min << ", got " << value;
+    message << field << " must be finite and >= " << min;
+    if (max != kNoMax) message << " and <= " << max;
+    message << ", got " << value;
     return Status::InvalidArgument(message.str());
   }
   return Status::OK();
@@ -100,8 +97,8 @@ std::future<tensor::Tensor> ForecastService::Submit(const std::string& tenant,
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceInstant("serve.request", "rid", pending.request_id);
   pending.enqueue_ns = util::MonotonicNowNanos();
-  const double effective_deadline =
-      deadline_ms < 0.0 ? options_.deadline_ms : deadline_ms;
+  const double effective_deadline = std::min(
+      deadline_ms < 0.0 ? options_.deadline_ms : deadline_ms, kMaxDeadlineMs);
   if (effective_deadline > 0.0) {
     pending.deadline_ns =
         pending.enqueue_ns + static_cast<int64_t>(effective_deadline * 1e6);
@@ -236,24 +233,29 @@ void ForecastService::DispatchLoop(TenantState& tenant) {
 
     data::Batch merged;  // A batch of one replays its request in place.
     if (n > 1) {
-      std::vector<ts::Tensor> closeness, period, trend, target;
-      closeness.reserve(group.size());
-      period.reserve(group.size());
-      trend.reserve(group.size());
-      target.reserve(group.size());
-      for (Pending& p : group) {
-        closeness.push_back(p.batch.closeness);
-        period.push_back(p.batch.period);
-        trend.push_back(p.batch.trend);
-        target.push_back(p.batch.target);
+      // Each member's rows are copied once, straight into the merged tensor.
+      const auto merge = [&group, n](ts::Tensor data::Batch::*field) {
+        const ts::Shape& one = (group[0].batch.*field).shape();
+        std::vector<int64_t> dims = one.dims();
+        dims[0] = n;
+        ts::Tensor out = ts::Tensor::Uninitialized(ts::Shape(std::move(dims)));
+        const int64_t row = one.num_elements();
+        for (int64_t i = 0; i < n; ++i) {
+          const ts::Tensor& part = group[static_cast<size_t>(i)].batch.*field;
+          MUSE_CHECK(part.shape() == one) << "coalesced shapes differ";
+          std::copy_n(part.data(), row, out.mutable_data() + i * row);
+        }
+        return out;
+      };
+      merged.closeness = merge(&data::Batch::closeness);
+      merged.period = merge(&data::Batch::period);
+      merged.trend = merge(&data::Batch::trend);
+      merged.target = merge(&data::Batch::target);
+      for (const Pending& p : group) {
         merged.target_indices.insert(merged.target_indices.end(),
                                      p.batch.target_indices.begin(),
                                      p.batch.target_indices.end());
       }
-      merged.closeness = ts::Concat(closeness, 0);
-      merged.period = ts::Concat(period, 0);
-      merged.trend = ts::Concat(trend, 0);
-      merged.target = ts::Concat(target, 0);
     }
 
     plan->engine->set_trace_request_id(group[0].request_id);

@@ -49,17 +49,17 @@ enum class ShedPolicy {
   kDropOldest,
 };
 
-/// Parses "reject", "oldest" or "drop-oldest"; InvalidArgument naming the
-/// accepted names for anything else.
-Result<ShedPolicy> ParseShedPolicy(const std::string& name);
+/// Largest deadline, in milliseconds (about 31.7 years), so that enqueue time
+/// plus deadline stays inside int64 nanoseconds.
+inline constexpr double kMaxDeadlineMs = 1e12;
 
 /// Per-tenant admission and batching policy.
 struct ServiceOptions {
   int max_batch = 8;  ///< Largest coalesced batch per tenant.
   /// Bound on queued (admitted, not yet dispatched) requests per tenant.
   int max_queue = 64;
-  /// Default request deadline (admission to completion); 0 = none. A
-  /// Submit-time deadline overrides it.
+  /// Default request deadline (admission to completion); 0 = none, at most
+  /// kMaxDeadlineMs. A Submit-time deadline overrides it.
   double deadline_ms = 0.0;
   ShedPolicy shed_policy = ShedPolicy::kRejectNewest;
   /// Token-bucket rate limit per tenant, requests/s; 0 = unlimited.
@@ -116,7 +116,8 @@ class ForecastService {
   /// Enqueues a single-grid request for `tenant`. The future resolves to the
   /// scaled [1, 2, H, W] prediction, or throws ShedError / DeadlineError /
   /// runtime_error (unknown tenant, shut down). `deadline_ms` < 0 uses the
-  /// service default; 0 disables the deadline for this request.
+  /// service default; 0 disables the deadline for this request; a value
+  /// above kMaxDeadlineMs is clamped to it.
   std::future<tensor::Tensor> Submit(const std::string& tenant,
                                      data::Batch request,
                                      double deadline_ms = -1.0);

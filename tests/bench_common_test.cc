@@ -45,17 +45,12 @@ TEST(BenchCommonTest, LoadDatasetHonoursScaleGeometry) {
 TEST(BenchCommonTest, MakeModelCoversAllTableNames) {
   ExperimentContext ctx = SmokeContext();
   data::TrafficDataset ds = LoadDataset(sim::DatasetId::kNycBike, ctx);
-  for (const std::string& name :
-       {std::string("MUSE-Net"), std::string("MUSE-Net-w/o-Spatial"),
-        std::string("MUSE-Net-w/o-MultiDisentangle"),
-        std::string("MUSE-Net-w/o-SemanticPushing"),
-        std::string("MUSE-Net-w/o-SemanticPulling")}) {
+  const std::vector<std::string> names = ModelNames();
+  EXPECT_EQ(names.size(), 5 + baselines::AllBaselineNames().size());
+  for (const std::string& name : names) {
     auto model = MakeModel(name, ds, ctx);
     ASSERT_NE(model, nullptr);
     EXPECT_EQ(model->name(), name);
-  }
-  for (const std::string& name : baselines::AllBaselineNames()) {
-    EXPECT_EQ(MakeModel(name, ds, ctx)->name(), name);
   }
 }
 
@@ -172,6 +167,19 @@ TEST(BenchPipelineTest, OneStepGraphDeclaresExpectedStages) {
       {"HistoricalAverage", "MUSE-Net"}, 0, eval::TimeBucket::kAll, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(graph.num_stages(), 7);
+}
+
+TEST(BenchPipelineTest, UnknownModelIsRejectedBeforeAnyStage) {
+  ExperimentContext ctx = SmokeContext();
+  pipeline::Pipeline graph;
+  auto built = BuildOneStepGraph(
+      &graph, ctx, {sim::DatasetId::kNycBike}, {"HistoricalAverage", "Bogus"},
+      /*horizon_offset=*/0, eval::TimeBucket::kAll, /*overrides=*/{});
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(built.status().message().find("'Bogus'"), std::string::npos)
+      << built.status().ToString();
+  EXPECT_EQ(graph.num_stages(), 0);
 }
 
 TEST(BenchPipelineTest, TinyGraphRunsAndWarmRerunsHit) {

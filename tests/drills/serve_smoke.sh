@@ -15,7 +15,7 @@
 #    swap-protocol spans of the initial shadow-validated loads.
 # 3. An unknown --shed-policy is a usage error (exit 2), and so is each
 #    out-of-range serve option (--max-batch 0 or x, --max-queue 0,
-#    --deadline-ms -5, --rate-rps -3).
+#    --deadline-ms -5 or 1e300, --rate-rps -3).
 set -euo pipefail
 
 M=$1
@@ -76,7 +76,7 @@ grep -q -- "--shed-policy" bogus.err
 
 # Out-of-range serve options exit 2 naming the flag, before any model loads.
 for bad in "max-batch 0" "max-batch x" "max-queue 0" "deadline-ms -5" \
-           "rate-rps -3"; do
+           "deadline-ms 1e300" "rate-rps -3"; do
   read -r flag value <<< "$bad"
   status=0
   "$M" serve --flows flows.bin --ckpt model.ckpt --d 4 --k 8 --requests 1 \

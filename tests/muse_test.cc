@@ -65,6 +65,27 @@ TEST(ConfigTest, ExclusiveDistDimIsQuarterOfK) {
   EXPECT_EQ(config.exclusive_dist_dim(), 32);  // k/4 (Section IV-E).
 }
 
+TEST(ConfigTest, InvalidConfigsNameTheirField) {
+  EXPECT_TRUE(ValidateMuseNetConfig(MuseNetConfig{}).ok());
+  const auto expect_rejected = [](const char* field, auto set) {
+    MuseNetConfig config;
+    set(config);
+    const Status status = ValidateMuseNetConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    // The CLI maps the leading field name to its flag (--k).
+    EXPECT_EQ(status.message().rfind(field, 0), 0u) << status.ToString();
+  };
+  expect_rejected("grid_h", [](MuseNetConfig& c) { c.grid_h = 0; });
+  expect_rejected("grid_w", [](MuseNetConfig& c) { c.grid_w = -1; });
+  expect_rejected("repr_dim", [](MuseNetConfig& c) { c.repr_dim = 0; });
+  // dist_dim 2 leaves the exclusive encoders k/4 = 0 dimensions.
+  expect_rejected("dist_dim", [](MuseNetConfig& c) { c.dist_dim = 2; });
+  MuseNetConfig smallest;
+  smallest.repr_dim = 1;
+  smallest.dist_dim = 4;
+  EXPECT_TRUE(ValidateMuseNetConfig(smallest).ok());
+}
+
 // --- Gaussian machinery ----------------------------------------------------------------
 
 DiagGaussian MakeGaussian(std::vector<float> mu, std::vector<float> logvar) {

@@ -278,6 +278,11 @@ TEST(ServeServiceTest, InvalidServiceOptionsNameTheirField) {
   expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = -5.0; });
   expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = kNaN; });
   expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = kInf; });
+  // Enqueue time plus deadline must stay inside int64 nanoseconds.
+  expect_rejected("deadline_ms", [](Options& o) { o.deadline_ms = 1e300; });
+  Options longest;
+  longest.deadline_ms = serve::kMaxDeadlineMs;
+  EXPECT_TRUE(serve::ValidateServiceOptions(longest).ok());
   expect_rejected("rate_rps", [](Options& o) { o.rate_rps = -3.0; });
   expect_rejected("rate_rps", [](Options& o) { o.rate_rps = kNaN; });
 }
@@ -577,27 +582,6 @@ TEST(ServeServiceTest, DropOldestPolicyCompletesTheNewestRequest) {
   EXPECT_GT(shed, 0);
 }
 
-TEST(ServeServiceTest, ShedPolicyNamesParseAndUnknownNamesAreRejected) {
-  const std::pair<const char*, serve::ShedPolicy> known[] = {
-      {"reject", serve::ShedPolicy::kRejectNewest},
-      {"oldest", serve::ShedPolicy::kDropOldest},
-      {"drop-oldest", serve::ShedPolicy::kDropOldest},
-  };
-  for (const auto& [name, policy] : known) {
-    const Result<serve::ShedPolicy> parsed = serve::ParseShedPolicy(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, policy) << name;
-  }
-  for (const char* name : {"bogus", "", "Reject", "newest"}) {
-    const Result<serve::ShedPolicy> parsed = serve::ParseShedPolicy(name);
-    ASSERT_FALSE(parsed.ok()) << name;
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(parsed.status().message().find("reject, oldest, drop-oldest"),
-              std::string::npos)
-        << parsed.status().ToString();
-  }
-}
-
 TEST(ServeServiceTest, TokenBucketLimitsAdmissionRate) {
   const std::string path = TempPath("serve_bucket.tnsr");
   WriteModelContainer(path, 65);
@@ -639,6 +623,27 @@ TEST(ServeServiceTest, QueuedRequestPastDeadlineTimesOut) {
   EXPECT_NO_THROW(first.get());
   EXPECT_THROW(second.get(), serve::DeadlineError);
   EXPECT_GE(CounterValue("serve.timed_out"), timed_out_before + 1);
+}
+
+TEST(ServeServiceTest, HugePerRequestDeadlineIsClampedAndCompletes) {
+  const std::string path = TempPath("serve_huge_deadline.tnsr");
+  WriteModelContainer(path, 69);
+
+  serve::ModelRegistry registry;
+  ASSERT_TRUE(registry.Load(TinySpecFor("bike", path)).ok());
+  serve::ForecastService service(registry);
+  const data::Batch probe = TinyBatch(3, 4, 70);
+  const int64_t completed_before = CounterValue("serve.completed");
+  const int64_t timed_out_before = CounterValue("serve.timed_out");
+  // A deadline past int64 nanoseconds is clamped to kMaxDeadlineMs, not
+  // cast: each request completes as if it had no deadline.
+  for (const double deadline_ms :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    EXPECT_NO_THROW(service.Submit("bike", probe, deadline_ms).get())
+        << deadline_ms;
+  }
+  EXPECT_EQ(CounterValue("serve.completed"), completed_before + 2);
+  EXPECT_EQ(CounterValue("serve.timed_out"), timed_out_before);
 }
 
 TEST(ServeServiceTest, SlowReplaySpikeShedsInsteadOfCollapsing) {

@@ -2,14 +2,12 @@
 """Compares a fresh benchmark run against the committed BENCH_*.json.
 
 Guards the committed performance claims: a code change that silently
-regresses serving or inference latency should fail CI (or a local
-tools/run_*_bench.sh) before the regressed numbers get committed as the
-new baseline.
+regresses inference latency or training throughput should fail a local
+tools/run_*_bench.sh before the regressed numbers get committed as the new
+baseline.
 
 The tool auto-detects which benchmark document it was handed:
 
-  serving   (BENCH_serving.json)   -- uncontended p50 and the per-overload
-                                      p50s at every load multiple
   inference (BENCH_inference.json) -- single-stream engine/autograd p50 and
                                       the specialized fp32 p50
   training  (BENCH_training.json)  -- per-benchmark training-step throughput
@@ -18,12 +16,12 @@ The tool auto-detects which benchmark document it was handed:
 
 Only p50s are compared: p99s on shared hardware are too noisy to gate on.
 A metric regresses when fresh > committed * (1 + tolerance); improvements
-are reported but never fail. Throughput-like metrics (sustainable_rps)
-regress in the opposite direction and are handled accordingly.
+are reported but never fail. Throughput metrics (items/s) regress in the
+opposite direction and are handled accordingly.
 
 Usage:
-  tools/check_bench_regression.py --committed BENCH_serving.json \
-      --fresh /tmp/serving_fresh.json [--tolerance 0.25]
+  tools/check_bench_regression.py --committed BENCH_inference.json \
+      --fresh /tmp/inference_fresh.json [--tolerance 0.25]
 
 Exit status: 0 when every metric is within tolerance, 1 on any regression,
 2 on malformed input. Stdlib only.
@@ -35,30 +33,12 @@ import sys
 
 
 def detect_kind(doc):
-    if "runs" in doc and "uncontended" in doc:
-        return "serving"
     if "single_stream_batch1" in doc:
         return "inference"
     if any("TrainStep" in bench.get("name", "")
            for bench in doc.get("benchmarks", [])):
         return "training"
     return None
-
-
-def serving_metrics(doc):
-    """Named p50-style metrics from a serving bench document."""
-    metrics = {}
-    unc = doc.get("uncontended", {})
-    if "p50_ms" in unc:
-        metrics["uncontended.p50_ms"] = (unc["p50_ms"], "latency")
-    if "sustainable_rps" in doc:
-        metrics["sustainable_rps"] = (doc["sustainable_rps"], "throughput")
-    for run in doc.get("runs", []):
-        mult = run.get("mult")
-        if mult is None or run.get("completed", 0) == 0:
-            continue
-        metrics[f"overload_{mult:g}x.p50_ms"] = (run["p50_ms"], "latency")
-    return metrics
 
 
 def inference_metrics(doc):
@@ -90,7 +70,6 @@ def training_metrics(doc):
 
 
 EXTRACTORS = {
-    "serving": serving_metrics,
     "inference": inference_metrics,
     "training": training_metrics,
 }

@@ -88,9 +88,6 @@ for path in metrics healthz statusz "statusz?dump=1"; do
 done
 cp b.ckpt swap.tmp && mv -f swap.tmp live.ckpt
 wait "$pid" || { echo "failed: multi-tenant serve (see mt.log)" >&2; exit 1; }
-run "$M" serve --models "taxi=m.ckpt" --flows taxi.bin --d 4 --k 8 \
-  --bench 1 --bench-out serving.json --calib-s 1 --phase-s 1 \
-  --load-mults 1,4
 run "$M" pipeline --datasets bike,taxi --cache-dir cache --jobs 2 --explain 1
 run "$M" pipeline --datasets bike --models MUSE-Net,HistoricalAverage \
   --cache-dir cache --override 'MUSE-Net:epochs=2' --horizon 3 --bucket peak

@@ -1,20 +1,15 @@
-// Command-line front end to the MUSE-Net library.
+// Command-line front end to the MUSE-Net library: `simulate` writes a
+// FlowSeries container; `train` fits MUSE-Net on it and writes a checkpoint;
+// `evaluate` reports test metrics; `predict` prints one frame's forecast next
+// to the ground truth; `serve` runs the multi-tenant hot-swap serving stack;
+// `bench-infer` times the graph-free engine against the autograd Predict
+// path; `pipeline` runs the experiment DAG against its stage cache. Model
+// hyper-parameters at train and load time must match (the checkpoint loader
+// validates shapes).
 //
-//   musenet simulate    --dataset taxi --out flows.bin [--days N] [--seed S]
-//   musenet train       --flows flows.bin --ckpt model.ckpt [--epochs N] ...
-//   musenet evaluate    --flows flows.bin --ckpt model.ckpt
-//   musenet predict     --flows flows.bin --ckpt model.ckpt --index I
-//   musenet serve       --flows flows.bin --ckpt model.ckpt --requests N ...
-//   musenet bench-infer --flows flows.bin --ckpt model.ckpt --iters N ...
-//
-// `simulate` writes a FlowSeries container; `train` fits MUSE-Net on it and
-// writes a checkpoint; `evaluate` reports test metrics; `predict` prints one
-// frame's forecast next to the ground truth; `serve` runs the multi-tenant
-// hot-swap serving stack (`--ckpt X` alone serves the one tenant
-// `default=X`; --obs-port exposes live /metrics, /healthz and /statusz over
-// HTTP); `bench-infer` times the graph-free engine against the autograd
-// Predict path. Model hyper-parameters at train and load time must match
-// (the checkpoint loader validates shapes).
+// Every flag is one row of Flags(): its value kind, default, verbs and help.
+// `musenet` without arguments prints the table. main parses the command line
+// against the verb's rows before the verb runs; a bad flag exits 2.
 
 #include <algorithm>
 #include <atomic>
@@ -24,9 +19,12 @@
 #include <cstdlib>
 #include <deque>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -58,39 +56,270 @@
 namespace musenet {
 namespace {
 
-/// Minimal --flag value parser; flags are position-independent.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (StartsWith(argv[i], "--")) {
-        values_[argv[i] + 2] = argv[i + 1];
-      }
-    }
-  }
+/// Verbs that load a flows file and build a MUSE-Net of --d and --k.
+constexpr const char* kModelVerbs = "train evaluate predict serve bench-infer";
+/// Verbs that resolve the simulation scale (ResolveSimScale).
+constexpr const char* kSimVerbs =
+    "simulate train evaluate predict serve bench-infer";
 
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
+/// True when the space-separated `verbs` include `verb`.
+bool Takes(const std::string& verbs, const std::string& verb) {
+  return (" " + verbs + " ").find(" " + verb + " ") != std::string::npos;
+}
 
- private:
-  std::map<std::string, std::string> values_;
+/// How a flag's value parses: a number (int, double, 0|1 or a hex digest),
+/// any string, one name of the row's list, or a comma list of such names.
+enum Kind { kInt, kDouble, kBool, kHex, kString, kName, kNames };
+
+/// One row of the flag table.
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* fallback;  ///< Default text; nullptr when absence means off.
+  const char* verbs;     ///< The verbs that take the flag, space-separated.
+  double min;            ///< Smallest accepted number.
+  const char* help;
+  /// kName/kNames: the accepted names. A name's value is its position, so a
+  /// list that names an enum's values follows the enum's order.
+  std::vector<std::string> names = {};
 };
 
-sim::DatasetId ParseDataset(const std::string& name) {
-  if (name == "bike") return sim::DatasetId::kNycBike;
-  if (name == "bj") return sim::DatasetId::kTaxiBj;
-  return sim::DatasetId::kNycTaxi;
+/// Every flag of every verb, declared once; Usage() prints the table.
+const std::vector<Flag>& Flags() {
+  static const std::vector<Flag> flags = {
+      {"dataset", kName, "taxi", kSimVerbs, 0,
+       "simulator preset (sim::DatasetId); given to a model verb, the flows "
+       "file must carry its hash; serve: the load's city",
+       {"bike", "taxi", "bj"}},
+      {"seed", kInt, "7", kSimVerbs, 0, "simulation, init and train seed"},
+      {"days", kInt, "0", kSimVerbs, 0, "days; 0 = MUSE_BENCH_SCALE's"},
+      {"grid-h", kInt, "0", kSimVerbs, 0, "grid height; 0 = the preset's"},
+      {"grid-w", kInt, "0", kSimVerbs, 0, "grid width; 0 = the preset's"},
+      {"out", kString, "flows.bin", "simulate", 0, "flows file to write"},
+      {"out", kString, nullptr, "bench-infer", 0, "JSON record to write"},
+      {"flows", kString, "flows.bin", kModelVerbs, 0, "flows file"},
+      {"expect-flows-hash", kHex, nullptr, kModelVerbs, 1,
+       "the sim config hash the flows file must carry"},
+      {"ckpt", kString, "model.ckpt", kModelVerbs, 0, "checkpoint"},
+      {"d", kInt, "12", kModelVerbs, 0, "MUSE-Net channels d (>= 1)"},
+      {"k", kInt, "32", kModelVerbs, 0, "MUSE-Net distribution k (>= 4)"},
+      {"epochs", kInt, "60", "train", 1, "training epochs"},
+      {"patience", kInt, "15", "train", 0, "early stopping; 0 = off"},
+      {"lr", kDouble, "1e-3", "train", 0, "Adam learning rate"},
+      {"verbose", kBool, "1", "train", 0, "per-epoch loss lines"},
+      {"checkpoint-dir", kString, nullptr, "train", 0, "crash-safe ckpts"},
+      {"checkpoint-every", kInt, "1", "train", 1, "epochs per checkpoint"},
+      {"keep-last", kInt, "3", "train", 1, "checkpoints kept"},
+      {"resume", kBool, "0", "train", 0, "resume from --checkpoint-dir"},
+      {"on-nonfinite", kName, "abort", "train", 0, "eval::FailurePolicy",
+       {"abort", "skip", "rollback"}},
+      {"train-workers", kInt, "1", "train", 1, "threads over the shards"},
+      {"train-shards", kInt, "0", "train", 0,
+       "shards per batch, which fix the numerics; 0 = --train-workers"},
+      {"prefetch", kBool, "0", "train", 0, "build the next batch early"},
+      {"run-log", kString, nullptr, "train serve", 0, "JSONL telemetry"},
+      {"run-log-timings", kBool, "1", "train", 0, "run log wall times"},
+      {"trace-out", kString, nullptr, "train serve", 0, "Perfetto trace"},
+      {"metrics-out", kString, nullptr, "train serve", 0, "metrics JSON"},
+      {"index", kInt, "0", "predict", 0, "test sample to forecast"},
+      {"specialize", kBool, "0", "serve bench-infer", 0, "fold the weights"},
+      {"iters", kInt, "50", "bench-infer", 1, "timed runs per path"},
+      {"batch", kInt, "1", "bench-infer", 1, "batch size"},
+      {"models", kString, nullptr, "serve", 0,
+       "tenants name=ckpt,...; absent: --ckpt is the tenant default"},
+      {"requests", kInt, "256", "serve", 0, "requests (without --loadgen)"},
+      {"max-batch", kInt, "8", "serve", 0, "largest batch of queued requests"},
+      {"max-queue", kInt, "64", "serve", 0, "queued requests per tenant"},
+      {"deadline-ms", kDouble, "0", "serve", 0, "request deadline; 0 = none"},
+      {"shed-policy", kName, "reject", "serve", 0, "serve::ShedPolicy",
+       {"reject", "oldest"}},
+      {"rate-rps", kDouble, "0", "serve", 0, "token bucket; 0 = unlimited"},
+      {"burst", kDouble, "0", "serve", 0, "bucket size; 0 = max(1, rate)"},
+      {"quality", kBool, "0", "serve", 0, "MAE/bias and drift gauges"},
+      {"probes", kInt, "3", "serve", 1, "shadow-validation batches"},
+      {"hot-swap-watch", kBool, "0", "serve", 0, "swap changed checkpoints"},
+      {"watch-interval-ms", kDouble, "200", "serve", 1, "poll interval"},
+      {"obs-port", kInt, nullptr, "serve", 0, "HTTP /metrics /healthz "
+       "/statusz on 127.0.0.1; 0 = any free port, printed"},
+      {"postmortem", kString, nullptr, "serve", 0,
+       "flight-recorder dump on a fatal signal or shadow rejection"},
+      {"loadgen", kBool, "0", "serve", 0, "diurnal load, not --requests"},
+      {"duration-s", kDouble, "8", "serve", 0.1, "load generator run"},
+      {"peak-rps", kDouble, "32", "serve", 0, "arrival rate at peak"},
+      {"sim-days", kInt, "1", "serve", 1, "simulated days per run"},
+      {"max-outstanding", kInt, "256", "serve", 1, "in-flight request cap"},
+      {"datasets", kNames, "bike,taxi,bj", "pipeline", 0, "tables",
+       {"bike", "taxi", "bj"}},
+      {"models", kNames,
+       "HistoricalAverage,RNN,Seq2Seq,CONVGCN,GMAN,ST-Norm,STGSP,DeepSTN+,"
+       "ST-SSL,MUSE-Net",
+       "pipeline", 0, "table rows", bench::ModelNames()},
+      {"override", kString, nullptr, "pipeline", 0, "MODEL:key=value,... "
+       "(keys epochs, lr, batch, patience; * = all)"},
+      {"horizon", kInt, "0", "pipeline", 0, "forecast horizon offset"},
+      {"bucket", kName, "all", "pipeline", 0, "time bucket (eval::TimeBucket)",
+       {"all", "peak", "nonpeak", "weekday", "weekend"}},
+      {"cache-dir", kString, nullptr, "pipeline", 0,
+       "stage cache; absent: <results>/cache/pipeline"},
+      {"jobs", kInt, "1", "pipeline", 1, "concurrent stages"},
+      {"explain", kBool, "0", "pipeline", 0, "say why each stage ran"},
+  };
+  return flags;
+}
+
+/// A flag's value: a number, 0|1 or a name's position in `number`, a hex
+/// digest in `hex`, a comma list's positions in `list`.
+struct Value {
+  bool given = false;
+  std::string text;
+  double number = 0.0;
+  uint64_t hex = 0;
+  std::vector<int> list;
+};
+
+/// Parses `text` as `flag`'s kind into `value`; InvalidArgument naming the
+/// flag when the text is malformed, out of range or an unknown name.
+Status ParseValue(const Flag& flag, const std::string& text, Value* value) {
+  const auto bad = [&flag](const std::string& why, const std::string& got) {
+    return Status::InvalidArgument(std::string("--") + flag.name + ": " +
+                                   why + ", got '" + got + "'");
+  };
+  value->text = text;
+  char* end = nullptr;
+  switch (flag.kind) {
+    case kString:
+      return Status::OK();
+    case kBool:
+      if (text != "0" && text != "1") return bad("expected 0 or 1", text);
+      value->number = text == "1" ? 1.0 : 0.0;
+      return Status::OK();
+    case kInt:
+    case kDouble:
+      value->number = std::strtod(text.c_str(), &end);
+      if (text.empty() || *end != '\0' || !std::isfinite(value->number)) {
+        return bad("expected a number", text);
+      }
+      if (flag.kind == kInt &&
+          (value->number != std::trunc(value->number) ||
+           std::fabs(value->number) > std::numeric_limits<int>::max())) {
+        return bad("expected an integer", text);
+      }
+      break;
+    case kHex: {
+      const size_t at = StartsWith(text, "0x") ? 2 : 0;
+      if (text.size() == at || text.size() - at > 16 ||
+          text.find_first_not_of("0123456789abcdefABCDEF", at) !=
+              std::string::npos) {
+        return bad("expected a hex digest", text);
+      }
+      value->hex = std::strtoull(text.c_str() + at, nullptr, 16);
+      value->number = static_cast<double>(value->hex);
+      break;
+    }
+    case kName:
+    case kNames:
+      for (const std::string& part : flag.kind == kNames
+                                         ? StrSplit(text, ',')
+                                         : std::vector<std::string>{text}) {
+        const auto named =
+            std::find(flag.names.begin(), flag.names.end(), part);
+        if (named == flag.names.end()) {
+          return bad("expected one of " + StrJoin(flag.names, ", "), part);
+        }
+        value->list.push_back(static_cast<int>(named - flag.names.begin()));
+      }
+      value->number = value->list[0];
+      return Status::OK();
+  }
+  if (value->number >= flag.min) return Status::OK();
+  char min[32];
+  std::snprintf(min, sizeof(min), "%g", flag.min);
+  return bad(std::string("must be >= ") + min, text);
+}
+
+/// One verb's flag values: every row that names the verb, parsed from the
+/// command line or from its default.
+struct Args {
+  std::map<std::string, Value> values;
+
+  const Value& At(const char* name) const {
+    const auto it = values.find(name);
+    MUSE_CHECK(it != values.end()) << "no --" << name << " row for this verb";
+    return it->second;
+  }
+  /// True when the command line gave the flag.
+  bool Has(const char* name) const { return At(name).given; }
+  int Int(const char* name) const { return static_cast<int>(At(name).number); }
+  double Double(const char* name) const { return At(name).number; }
+  bool Bool(const char* name) const { return At(name).number != 0.0; }
+  uint64_t Hex(const char* name) const { return At(name).hex; }
+  const std::string& Str(const char* name) const { return At(name).text; }
+  template <typename E>
+  E Enum(const char* name) const {
+    return static_cast<E>(At(name).number);
+  }
+};
+
+/// Parses argv[2..] as --flag value pairs against the rows of verb argv[1].
+/// InvalidArgument naming the token for a stray token, an unknown flag or
+/// one the verb does not take, a flag given twice, a missing value, or a
+/// value its row rejects.
+Result<Args> ParseArgs(int argc, char** argv) {
+  const std::string verb = argv[1];
+  Args args;
+  for (const Flag& flag : Flags()) {
+    if (!Takes(flag.verbs, verb)) continue;
+    Value& value = args.values[flag.name];
+    if (flag.fallback == nullptr) continue;
+    const Status parsed = ParseValue(flag, flag.fallback, &value);
+    MUSE_CHECK(parsed.ok()) << parsed.ToString();
+  }
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    const auto named = [&token](const Flag& flag) {
+      return token == std::string("--") + flag.name;
+    };
+    const auto row =
+        std::find_if(Flags().begin(), Flags().end(), [&](const Flag& flag) {
+          return named(flag) && Takes(flag.verbs, verb);
+        });
+    if (row == Flags().end()) {
+      const std::string why =
+          !StartsWith(token, "--")
+              ? "unexpected argument; flags take the form --name value"
+          : std::any_of(Flags().begin(), Flags().end(), named)
+              ? "not a flag of " + verb
+              : "unknown flag";
+      return Status::InvalidArgument(token + ": " + why);
+    }
+    Value& value = args.values[row->name];
+    if (value.given) return Status::InvalidArgument(token + ": given twice");
+    if (i + 1 == argc || StartsWith(argv[i + 1], "--")) {
+      return Status::InvalidArgument(token + ": missing value");
+    }
+    value = Value{};
+    MUSE_RETURN_IF_ERROR(ParseValue(*row, argv[++i], &value));
+    value.given = true;
+  }
+  return args;
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: musenet <verb> [--flag value ...]\n"
+               "verbs: simulate train evaluate predict serve bench-infer "
+               "pipeline\nA flag its verb does not take, a missing or "
+               "malformed value or an unknown name exits 2.\n");
+  static const char* const kValues[] = {"N", "X", "0|1", "HEX", "TEXT"};
+  for (const Flag& flag : Flags()) {
+    std::fprintf(stderr, "  --%s %s%s  [%s]%s%s\n      %s\n", flag.name,
+                 flag.kind < kName ? kValues[flag.kind]
+                                   : StrJoin(flag.names, "|").c_str(),
+                 flag.kind == kNames ? "[,...]" : "", flag.verbs,
+                 flag.fallback != nullptr ? " default " : "",
+                 flag.fallback != nullptr ? flag.fallback : "", flag.help);
+  }
+  return 2;
 }
 
 int Fail(const Status& status) {
@@ -98,19 +327,30 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// --obs-port / --postmortem handling for `serve`.
-/// Starts the exposition server when --obs-port is present (0 = ephemeral;
-/// the bound port is printed so scripts can scrape it) and arms the
-/// flight-recorder post-mortem when --postmortem names a dump path.
-/// Returns false (with a message on stderr) when the server fails to bind.
+/// Exits 2 for a value a library validator rejects. Its message starts with
+/// the field's name, which is the flag's with '_' for '-' (max_batch is
+/// --max-batch), except repr_dim and dist_dim, which are --d and --k.
+int FieldError(const Status& invalid) {
+  std::string flag = invalid.message().substr(0, invalid.message().find(' '));
+  if (flag == "repr_dim") flag = "d";
+  if (flag == "dist_dim") flag = "k";
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  std::fprintf(stderr, "error: --%s: %s\n", flag.c_str(),
+               invalid.message().c_str());
+  return 2;
+}
+
+/// Arms the flight-recorder post-mortem when --postmortem names a path and
+/// starts the exposition server when --obs-port is given, printing the bound
+/// port for scrapers. False, with a message, when the server cannot bind.
 bool StartObservability(const Args& args,
                         std::unique_ptr<obs::ExpoServer>* server) {
   if (args.Has("postmortem")) {
-    obs::SetPostmortemPath(args.Get("postmortem", ""));
+    obs::SetPostmortemPath(args.Str("postmortem"));
     obs::InstallCrashHandler();
   }
   if (!args.Has("obs-port")) return true;
-  auto started = obs::ExpoServer::Start(args.GetInt("obs-port", 0));
+  auto started = obs::ExpoServer::Start(args.Int("obs-port"));
   if (!started.ok()) {
     std::fprintf(stderr, "error: --obs-port: %s\n",
                  started.status().ToString().c_str());
@@ -125,23 +365,37 @@ bool StartObservability(const Args& args,
   return true;
 }
 
-/// Resolves the simulation scale the way `simulate` does: the bench scale
-/// from the environment with --seed/--days/--grid-h/--grid-w overrides.
-/// Shared with LoadForModel so a `--dataset` flag on train/evaluate recomputes
-/// the same provenance hash `simulate` stamped.
+/// Writes the --trace-out trace and the --metrics-out snapshot, when given.
+Status WriteTelemetry(const Args& args) {
+  const std::string& trace_out = args.Str("trace-out");
+  if (!trace_out.empty()) {
+    MUSE_RETURN_IF_ERROR(obs::StopTracingAndWrite(trace_out));
+    std::printf("wrote trace %s\n", trace_out.c_str());
+  }
+  const std::string& metrics_out = args.Str("metrics-out");
+  if (!metrics_out.empty()) {
+    MUSE_RETURN_IF_ERROR(obs::WriteMetricsSnapshot(metrics_out));
+    std::printf("wrote metrics %s\n", metrics_out.c_str());
+  }
+  return Status::OK();
+}
+
+/// Resolves the simulation scale the way `simulate` does, so that --dataset
+/// on a model verb recomputes the provenance hash `simulate` stamped: the
+/// bench scale from the environment with --seed/--days/--grid-h/--grid-w.
 BenchScale ResolveSimScale(const Args& args) {
   BenchScale scale = ResolveBenchScale();
-  scale.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
-  if (args.GetInt("days", 0) > 0) scale.days = args.GetInt("days", 0);
-  if (args.GetInt("grid-h", 0) > 0) scale.grid_h = args.GetInt("grid-h", 0);
-  if (args.GetInt("grid-w", 0) > 0) scale.grid_w = args.GetInt("grid-w", 0);
+  scale.seed = static_cast<uint64_t>(args.Int("seed"));
+  if (args.Int("days") > 0) scale.days = args.Int("days");
+  if (args.Int("grid-h") > 0) scale.grid_h = args.Int("grid-h");
+  if (args.Int("grid-w") > 0) scale.grid_w = args.Int("grid-w");
   return scale;
 }
 
 int Simulate(const Args& args) {
   const BenchScale scale = ResolveSimScale(args);
-  const sim::DatasetId id = ParseDataset(args.Get("dataset", "taxi"));
-  const std::string out = args.Get("out", "flows.bin");
+  const sim::DatasetId id = args.Enum<sim::DatasetId>("dataset");
+  const std::string& out = args.Str("out");
 
   sim::FlowSeries flows = sim::GenerateDatasetFlows(id, scale, scale.seed);
   const uint64_t hash = sim::SimConfigHash(id, scale, scale.seed);
@@ -157,106 +411,81 @@ int Simulate(const Args& args) {
   return 0;
 }
 
-struct LoadedDataset {
-  data::TrafficDataset dataset;
-  muse::MuseNetConfig config;
-};
-
 /// The provenance hash `flows.bin` must carry, or 0 for no check:
 /// --expect-flows-hash takes an explicit hex digest; --dataset recomputes
 /// SimConfigHash from the same flag resolution `simulate` used.
 uint64_t ExpectedFlowsHash(const Args& args) {
-  if (args.Has("expect-flows-hash")) {
-    return std::strtoull(args.Get("expect-flows-hash", "0").c_str(), nullptr,
-                         16);
-  }
-  if (args.Has("dataset")) {
-    const BenchScale scale = ResolveSimScale(args);
-    return sim::SimConfigHash(ParseDataset(args.Get("dataset", "taxi")), scale,
-                              scale.seed);
-  }
-  return 0;
+  if (args.Has("expect-flows-hash")) return args.Hex("expect-flows-hash");
+  if (!args.Has("dataset")) return 0;
+  const BenchScale scale = ResolveSimScale(args);
+  return sim::SimConfigHash(args.Enum<sim::DatasetId>("dataset"), scale,
+                            scale.seed);
 }
 
-Result<LoadedDataset> LoadForModel(const Args& args) {
+/// --d and --k as a MuseNetConfig; Load sets the grid.
+muse::MuseNetConfig ModelConfig(const Args& args) {
+  muse::MuseNetConfig config;
+  config.repr_dim = args.Int("d");
+  config.dist_dim = args.Int("k");
+  return config;
+}
+
+struct Loaded {
+  data::TrafficDataset dataset;
+  muse::MuseNetConfig config;
+  std::unique_ptr<muse::MuseNet> model;  ///< The --ckpt weights, if asked.
+};
+
+/// Loads --flows, and with `trained` the --ckpt weights in eval mode.
+Result<Loaded> Load(const Args& args, bool trained) {
   MUSE_ASSIGN_OR_RETURN(
       sim::FlowSeries flows,
-      sim::LoadFlowSeriesChecked(args.Get("flows", "flows.bin"),
-                                 ExpectedFlowsHash(args)));
+      sim::LoadFlowSeriesChecked(args.Str("flows"), ExpectedFlowsHash(args)));
   data::DatasetOptions options;
-  options.max_train_samples = args.GetInt("max_train_samples", 320);
+  options.max_train_samples = 320;
   MUSE_RETURN_IF_ERROR(data::ValidateSeriesLength(flows, options));
-  data::TrafficDataset dataset(std::move(flows), options);
-
-  muse::MuseNetConfig config;
-  config.grid_h = dataset.grid_height();
-  config.grid_w = dataset.grid_width();
-  config.repr_dim = args.GetInt("d", 12);
-  config.dist_dim = args.GetInt("k", 32);
-  return LoadedDataset{std::move(dataset), config};
+  Loaded loaded{data::TrafficDataset(std::move(flows), options),
+                ModelConfig(args), nullptr};
+  loaded.config.grid_h = loaded.dataset.grid_height();
+  loaded.config.grid_w = loaded.dataset.grid_width();
+  if (!trained) return loaded;
+  loaded.model = std::make_unique<muse::MuseNet>(
+      loaded.config, static_cast<uint64_t>(args.Int("seed")));
+  MUSE_ASSIGN_OR_RETURN(auto state, tensor::LoadTensors(args.Str("ckpt")));
+  MUSE_RETURN_IF_ERROR(loaded.model->LoadStateDict(state));
+  loaded.model->SetTraining(false);
+  return loaded;
 }
 
 int Train(const Args& args) {
-  auto loaded = LoadForModel(args);
+  auto loaded = Load(args, /*trained=*/false);
   if (!loaded.ok()) return Fail(loaded.status());
-  muse::MuseNet model(loaded->config,
-                      static_cast<uint64_t>(args.GetInt("seed", 7)));
+  muse::MuseNet model(loaded->config, static_cast<uint64_t>(args.Int("seed")));
 
+  // See eval/train_loop.h for the fault policy and DESIGN.md "Data-parallel
+  // training" and "Observability" for the rest.
   eval::TrainConfig train;
-  train.epochs = args.GetInt("epochs", 60);
-  train.patience = args.GetInt("patience", 15);
-  train.learning_rate = std::atof(args.Get("lr", "1e-3").c_str());
-  train.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
-  train.verbose = args.GetInt("verbose", 1) != 0;
-
-  // Fault tolerance: periodic crash-safe checkpoints, resume, and the
-  // non-finite policy (see eval/train_loop.h).
-  train.checkpoint_dir = args.Get("checkpoint-dir", "");
-  train.checkpoint_every = args.GetInt("checkpoint-every", 1);
-  train.keep_last = args.GetInt("keep-last", 3);
-  train.resume = args.GetInt("resume", 0) != 0;
-
-  // Data-parallel training (see DESIGN.md "Data-parallel training"):
-  // --train-shards fixes the numerics, --train-workers only schedules, and
-  // --prefetch overlaps the next batch's assembly with the current step.
-  train.train_workers = args.GetInt("train-workers", 1);
-  train.train_shards = args.GetInt("train-shards", 0);
-  train.prefetch = args.GetInt("prefetch", 0) != 0;
-
-  // Observability (see DESIGN.md "Observability"): --run-log streams JSONL
-  // training telemetry; --trace-out and --metrics-out write a Perfetto
-  // trace and a metrics snapshot at the end of the run.
-  train.run_log_path = args.Get("run-log", "");
-  train.run_log_timings = args.GetInt("run-log-timings", 1) != 0;
-  const std::string trace_out = args.Get("trace-out", "");
-  const std::string metrics_out = args.Get("metrics-out", "");
-  if (!trace_out.empty()) obs::StartTracing();
-  const std::string policy = args.Get("on-nonfinite", "abort");
-  if (policy == "skip") {
-    train.on_non_finite = eval::FailurePolicy::kSkipBatch;
-  } else if (policy == "rollback") {
-    train.on_non_finite = eval::FailurePolicy::kRollback;
-  } else if (policy == "abort") {
-    train.on_non_finite = eval::FailurePolicy::kAbort;
-  } else {
-    std::fprintf(stderr,
-                 "error: --on-nonfinite must be abort, skip or rollback\n");
-    return 2;
-  }
+  train.epochs = args.Int("epochs");
+  train.patience = args.Int("patience");
+  train.learning_rate = args.Double("lr");
+  train.seed = static_cast<uint64_t>(args.Int("seed"));
+  train.verbose = args.Bool("verbose");
+  train.checkpoint_dir = args.Str("checkpoint-dir");
+  train.checkpoint_every = args.Int("checkpoint-every");
+  train.keep_last = args.Int("keep-last");
+  train.resume = args.Bool("resume");
+  train.on_non_finite = args.Enum<eval::FailurePolicy>("on-nonfinite");
+  train.train_workers = args.Int("train-workers");
+  train.train_shards = args.Int("train-shards");
+  train.prefetch = args.Bool("prefetch");
+  train.run_log_path = args.Str("run-log");
+  train.run_log_timings = args.Bool("run-log-timings");
+  if (!args.Str("trace-out").empty()) obs::StartTracing();
 
   eval::TrainReport report;
   const Status trained = model.TrainWithReport(loaded->dataset, train,
                                                &report);
-  if (!trace_out.empty()) {
-    const Status wrote = obs::StopTracingAndWrite(trace_out);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote trace %s\n", trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    const Status wrote = obs::WriteMetricsSnapshot(metrics_out);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote metrics %s\n", metrics_out.c_str());
-  }
+  if (Status wrote = WriteTelemetry(args); !wrote.ok()) return Fail(wrote);
   if (!trained.ok()) return Fail(trained);
   if (report.resumed_from_epoch >= 0) {
     std::printf("resumed from epoch %d\n", report.resumed_from_epoch);
@@ -269,7 +498,7 @@ int Train(const Args& args) {
       report.best_val, report.skipped_batches, report.rollbacks,
       report.checkpoint_write_failures);
 
-  const std::string ckpt = args.Get("ckpt", "model.ckpt");
+  const std::string& ckpt = args.Str("ckpt");
   const Status status = tensor::SaveTensors(ckpt, model.StateDict());
   if (!status.ok()) return Fail(status);
   std::printf("wrote %s (%lld parameters)\n", ckpt.c_str(),
@@ -277,24 +506,12 @@ int Train(const Args& args) {
   return 0;
 }
 
-Result<std::unique_ptr<muse::MuseNet>> LoadModel(
-    const Args& args, const muse::MuseNetConfig& config) {
-  auto model = std::make_unique<muse::MuseNet>(
-      config, static_cast<uint64_t>(args.GetInt("seed", 7)));
-  MUSE_ASSIGN_OR_RETURN(auto state,
-                        tensor::LoadTensors(args.Get("ckpt", "model.ckpt")));
-  MUSE_RETURN_IF_ERROR(model->LoadStateDict(state));
-  model->SetTraining(false);
-  return model;
-}
-
 int Evaluate(const Args& args) {
-  auto loaded = LoadForModel(args);
+  auto loaded = Load(args, /*trained=*/true);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto model = LoadModel(args, loaded->config);
-  if (!model.ok()) return Fail(model.status());
 
-  eval::FlowMetrics m = eval::EvaluateOnTest(**model, loaded->dataset, 8);
+  eval::FlowMetrics m =
+      eval::EvaluateOnTest(*loaded->model, loaded->dataset, 8);
   std::printf("test outflow: RMSE %.2f  MAE %.2f  MAPE %s\n", m.outflow.rmse,
               m.outflow.mae, FormatPercent(m.outflow.mape).c_str());
   std::printf("test inflow:  RMSE %.2f  MAE %.2f  MAPE %s\n", m.inflow.rmse,
@@ -303,21 +520,19 @@ int Evaluate(const Args& args) {
 }
 
 int Predict(const Args& args) {
-  auto loaded = LoadForModel(args);
+  auto loaded = Load(args, /*trained=*/true);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto model = LoadModel(args, loaded->config);
-  if (!model.ok()) return Fail(model.status());
 
   const auto& test = loaded->dataset.test_indices();
-  const int index = args.GetInt("index", 0);
-  if (index < 0 || index >= static_cast<int>(test.size())) {
+  const int index = args.Int("index");
+  if (index >= static_cast<int>(test.size())) {
     std::fprintf(stderr, "error: --index must be in [0, %zu)\n", test.size());
     return 1;
   }
   data::Batch batch =
       loaded->dataset.MakeBatch({test[static_cast<size_t>(index)]});
   tensor::Tensor pred =
-      loaded->dataset.scaler().Inverse((*model)->Predict(batch));
+      loaded->dataset.scaler().Inverse(loaded->model->Predict(batch));
   tensor::Tensor truth = loaded->dataset.scaler().Inverse(batch.target);
 
   const auto& flows = loaded->dataset.flows();
@@ -352,21 +567,16 @@ double Percentile(std::vector<double> sorted_ms, double q) {
 /// throughput. Writes a JSON record when --out is given (consumed by
 /// tools/run_inference_bench.sh into BENCH_inference.json).
 int BenchInfer(const Args& args) {
-  auto loaded = LoadForModel(args);
+  auto loaded = Load(args, /*trained=*/true);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto model = LoadModel(args, loaded->config);
-  if (!model.ok()) return Fail(model.status());
+  muse::MuseNet& model = *loaded->model;
 
   infer::EngineOptions eopts;
-  eopts.specialize = args.GetInt("specialize", 0) != 0;
+  eopts.specialize = args.Bool("specialize");
 
-  const int iters = std::max(1, args.GetInt("iters", 50));
-  const int batch_size = std::max(1, args.GetInt("batch", 1));
+  const int iters = args.Int("iters");
+  const int batch_size = args.Int("batch");
   const auto& test = loaded->dataset.test_indices();
-  if (test.empty()) {
-    std::fprintf(stderr, "error: dataset has no test samples\n");
-    return 1;
-  }
   std::vector<int64_t> chunk;
   for (int b = 0; b < batch_size; ++b) {
     chunk.push_back(test[static_cast<size_t>(b) % test.size()]);
@@ -376,15 +586,15 @@ int BenchInfer(const Args& args) {
   // Autograd path: what Predict cost before the engine existed (graph nodes
   // built and dropped every call).
   std::vector<double> autograd_ms;
-  (*model)->Predict(batch);  // Warm the pool.
+  model.Predict(batch);  // Warm the pool.
   for (int i = 0; i < iters; ++i) {
     util::Stopwatch watch;
-    (*model)->Predict(batch);
+    model.Predict(batch);
     autograd_ms.push_back(watch.ElapsedMillis());
   }
 
   // Planned engine, steady state (plan compiled once, zero-alloc replay).
-  infer::Engine engine(**model);
+  infer::Engine engine(model);
   tensor::Tensor out = engine.Predict(batch);  // Warm: compiles the plan.
   std::vector<double> engine_ms;
   util::Stopwatch total;
@@ -417,7 +627,7 @@ int BenchInfer(const Args& args) {
   double max_abs_delta = 0.0, mae_fp32 = 0.0, mae_spec = 0.0;
   bool spec_active = false;
   if (eopts.specialize) {
-    infer::Engine spec_engine(**model, eopts);
+    infer::Engine spec_engine(model, eopts);
     tensor::Tensor sout = spec_engine.Predict(batch);  // Warm + gate.
     spec_active = spec_engine.spec_active_for(batch_size);
     std::vector<double> spec_ms;
@@ -466,25 +676,12 @@ int BenchInfer(const Args& args) {
         mae_spec - mae_fp32);
   }
 
-  const std::string out_path = args.Get("out", "");
+  const std::string& out_path = args.Str("out");
   if (!out_path.empty()) {
-    char buf[1280];
-    int len = std::snprintf(
-        buf, sizeof(buf),
-        "{\n"
-        "  \"batch\": %d,\n"
-        "  \"threads\": %d,\n"
-        "  \"iters\": %d,\n"
-        "  \"autograd_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
-        "  \"engine_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
-        "  \"speedup_p50\": %.3f,\n"
-        "  \"engine_throughput_rps\": %.3f",
-        batch_size, threads, iters, a50, a99, e50, e99, a50 / e50,
-        throughput);
-    if (eopts.specialize && len > 0 &&
-        static_cast<size_t>(len) < sizeof(buf)) {
-      len += std::snprintf(
-          buf + len, sizeof(buf) - static_cast<size_t>(len),
+    char spec[512] = "";
+    if (eopts.specialize) {
+      std::snprintf(
+          spec, sizeof(spec),
           ",\n"
           "  \"specialized\": {\n"
           "    \"engine_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
@@ -495,14 +692,22 @@ int BenchInfer(const Args& args) {
           "    \"mae_spec\": %.6f,\n"
           "    \"mae_delta\": %.6g\n"
           "  }",
-          s50, s99, e50 / s50,
-          spec_active ? "true" : "false", max_abs_delta, mae_fp32, mae_spec,
-          mae_spec - mae_fp32);
+          s50, s99, e50 / s50, spec_active ? "true" : "false", max_abs_delta,
+          mae_fp32, mae_spec, mae_spec - mae_fp32);
     }
-    if (len > 0 && static_cast<size_t>(len) < sizeof(buf)) {
-      std::snprintf(buf + len, sizeof(buf) - static_cast<size_t>(len),
-                    "\n}\n");
-    }
+    char buf[1280];
+    std::snprintf(buf, sizeof(buf),
+                  "{\n"
+                  "  \"batch\": %d,\n"
+                  "  \"threads\": %d,\n"
+                  "  \"iters\": %d,\n"
+                  "  \"autograd_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
+                  "  \"engine_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
+                  "  \"speedup_p50\": %.3f,\n"
+                  "  \"engine_throughput_rps\": %.3f%s\n"
+                  "}\n",
+                  batch_size, threads, iters, a50, a99, e50, e99, a50 / e50,
+                  throughput, spec);
     const Status wrote = util::AtomicWriteFile(out_path, buf);
     if (!wrote.ok()) return Fail(wrote);
     std::printf("wrote %s\n", out_path.c_str());
@@ -520,15 +725,14 @@ extern "C" void HandleSigint(int) {
 }
 
 /// One `--models` entry per tenant: name=ckpt. Without --models, --ckpt X
-/// serves as the single tenant default=X.
-bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
-                     std::vector<serve::ModelSpec>* out) {
+/// serves as the single tenant default=X. The caller sets each config.
+bool ParseModelSpecs(const Args& args, std::vector<serve::ModelSpec>* out) {
   if (!args.Has("models") && !args.Has("ckpt")) {
     std::fprintf(stderr, "error: serve needs --ckpt or --models\n");
     return false;
   }
   const std::string models =
-      args.Get("models", "default=" + args.Get("ckpt", ""));
+      args.Has("models") ? args.Str("models") : "default=" + args.Str("ckpt");
   for (const std::string& entry : StrSplit(models, ',')) {
     const size_t eq = entry.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
@@ -539,9 +743,8 @@ bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
     serve::ModelSpec spec;
     spec.name = entry.substr(0, eq);
     spec.path = entry.substr(eq + 1);
-    spec.config = config;
-    spec.engine.specialize = args.GetInt("specialize", 0) != 0;
-    spec.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+    spec.engine.specialize = args.Bool("specialize");
+    spec.seed = static_cast<uint64_t>(args.Int("seed"));
     out->push_back(std::move(spec));
   }
   return true;
@@ -550,203 +753,51 @@ bool ParseModelSpecs(const Args& args, const muse::MuseNetConfig& config,
 /// Greppable one-line roll-up of the serve.* counters, printed after drain
 /// (CI reconciles these against the metrics snapshot and the load report).
 void PrintServeSummary(size_t tenants) {
-  std::printf(
-      "serve summary: tenants=%zu requests=%lld admitted=%lld shed=%lld "
-      "completed=%lld timed_out=%lld swapped=%lld shadow_rejected=%lld\n",
-      tenants,
-      static_cast<long long>(obs::GetCounter("serve.requests").Value()),
-      static_cast<long long>(obs::GetCounter("serve.admitted").Value()),
-      static_cast<long long>(obs::GetCounter("serve.shed").Value()),
-      static_cast<long long>(obs::GetCounter("serve.completed").Value()),
-      static_cast<long long>(obs::GetCounter("serve.timed_out").Value()),
-      static_cast<long long>(obs::GetCounter("serve.swapped").Value()),
-      static_cast<long long>(
-          obs::GetCounter("serve.shadow_rejected").Value()));
+  std::printf("serve summary: tenants=%zu", tenants);
+  for (const char* counter : {"requests", "admitted", "shed", "completed",
+                              "timed_out", "swapped", "shadow_rejected"}) {
+    std::printf(" %s=%lld", counter,
+                static_cast<long long>(
+                    obs::GetCounter(std::string("serve.") + counter).Value()));
+  }
+  std::printf("\n");
 }
 
-void PrintLoadReport(const char* label, const serve::LoadGenReport& report) {
-  std::printf(
-      "%s: issued=%lld completed=%lld shed=%lld timed_out=%lld errored=%lld "
-      "wall=%.2fs shed_rate=%.3f p50=%.3fms p99=%.3fms\n",
-      label, static_cast<long long>(report.issued),
-      static_cast<long long>(report.completed),
-      static_cast<long long>(report.shed),
-      static_cast<long long>(report.timed_out),
-      static_cast<long long>(report.errored), report.wall_s,
-      report.shed_rate(), report.p50_ms, report.p99_ms);
-}
-
-/// Built-in serving bench (tools/run_serving_bench.sh -> BENCH_serving.json):
-/// calibrates the sustainable closed-loop rate, measures an uncontended
-/// baseline, then drives flat --load-mults multiples of sustainable with
-/// deadline-aware shedding and records p50/p99/shed-rate per multiple.
-int RunServingBench(serve::ForecastService& service, const std::string& tenant,
-                    const std::vector<data::Batch>& pool,
-                    const sim::City& city, const Args& args) {
-  const double calib_s = args.GetDouble("calib-s", 2.0);
-  const double phase_s = args.GetDouble("phase-s", 3.0);
-
-  // Saturation phase: a flat rate far beyond capacity with a closed-loop cap
-  // measures what the service actually completes per second.
-  serve::LoadGenOptions calib;
-  calib.duration_s = calib_s;
-  calib.peak_rps = 1e6;
-  calib.flat = true;
-  calib.deadline_ms = 0.0;
-  calib.max_outstanding = std::max(16, 4 * service.options().max_batch);
-  calib.cancel = &g_cancel;
-  serve::LoadGenReport cal = RunLoadGen(service, tenant, pool, city, calib);
-  const double sustainable =
-      std::max(1.0, static_cast<double>(cal.completed) /
-                        std::max(1e-6, cal.wall_s));
-  std::printf("calibration: sustainable=%.1f req/s\n", sustainable);
-
-  // Uncontended baseline: well under capacity, no deadline — the p99 the
-  // overload runs are judged against.
-  serve::LoadGenOptions unc = calib;
-  unc.duration_s = phase_s;
-  unc.peak_rps = std::max(1.0, 0.25 * sustainable);
-  unc.deadline_ms = 0.0;
-  serve::LoadGenReport base = RunLoadGen(service, tenant, pool, city, unc);
-  PrintLoadReport("uncontended", base);
-
-  // Overload deadline: explicit --deadline-ms wins; otherwise 4x the
-  // uncontended p99, which keeps completed-request latency within the 5x
-  // budget by construction (expired requests shed or time out instead).
-  double deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  if (deadline_ms <= 0.0) {
-    deadline_ms = std::max(2.0, 4.0 * base.p99_ms);
-  }
-
-  std::string runs_json;
-  for (const std::string& mult_text :
-       StrSplit(args.Get("load-mults", "1,4,8"), ',')) {
-    const double mult = std::atof(mult_text.c_str());
-    if (mult <= 0.0) continue;
-    serve::LoadGenOptions opts = calib;
-    opts.duration_s = phase_s;
-    opts.peak_rps = mult * sustainable;
-    opts.deadline_ms = deadline_ms;
-    opts.max_outstanding = args.GetInt("max-outstanding", 512);
-    serve::LoadGenReport r = RunLoadGen(service, tenant, pool, city, opts);
-    char label[64];
-    std::snprintf(label, sizeof(label), "load %.0fx", mult);
-    PrintLoadReport(label, r);
-
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s    {\"mult\": %.2f, \"rate_rps\": %.2f, \"issued\": %lld, "
-        "\"completed\": %lld, \"shed\": %lld, \"timed_out\": %lld, "
-        "\"errored\": %lld, \"shed_rate\": %.4f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f, \"p99_vs_uncontended\": %.3f}",
-        runs_json.empty() ? "" : ",\n", mult, opts.peak_rps,
-        static_cast<long long>(r.issued),
-        static_cast<long long>(r.completed),
-        static_cast<long long>(r.shed),
-        static_cast<long long>(r.timed_out),
-        static_cast<long long>(r.errored), r.shed_rate(), r.p50_ms, r.p99_ms,
-        base.p99_ms > 0.0 ? r.p99_ms / base.p99_ms : 0.0);
-    runs_json += buf;
-    if (g_cancel.load(std::memory_order_relaxed)) break;
-  }
-
-  const std::string out_path = args.Get("bench-out", "");
-  if (!out_path.empty()) {
-    char head[512];
-    std::snprintf(
-        head, sizeof(head),
-        "{\n"
-        "  \"sustainable_rps\": %.2f,\n"
-        "  \"deadline_ms\": %.3f,\n"
-        "  \"max_batch\": %d,\n"
-        "  \"max_queue\": %d,\n"
-        "  \"shed_policy\": \"%s\",\n"
-        "  \"uncontended\": {\"rate_rps\": %.2f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f},\n"
-        "  \"runs\": [\n",
-        sustainable, deadline_ms, service.options().max_batch,
-        service.options().max_queue,
-        service.options().shed_policy == serve::ShedPolicy::kDropOldest
-            ? "oldest"
-            : "reject",
-        unc.peak_rps, base.p50_ms, base.p99_ms);
-    char tail[512];
-    std::snprintf(
-        tail, sizeof(tail),
-        "\n  ],\n"
-        "  \"counters\": {\"requests\": %lld, \"admitted\": %lld, "
-        "\"shed\": %lld, \"completed\": %lld, \"timed_out\": %lld, "
-        "\"swapped\": %lld, \"shadow_rejected\": %lld}\n"
-        "}\n",
-        static_cast<long long>(obs::GetCounter("serve.requests").Value()),
-        static_cast<long long>(obs::GetCounter("serve.admitted").Value()),
-        static_cast<long long>(obs::GetCounter("serve.shed").Value()),
-        static_cast<long long>(obs::GetCounter("serve.completed").Value()),
-        static_cast<long long>(obs::GetCounter("serve.timed_out").Value()),
-        static_cast<long long>(obs::GetCounter("serve.swapped").Value()),
-        static_cast<long long>(
-            obs::GetCounter("serve.shadow_rejected").Value()));
-    const Status wrote =
-        util::AtomicWriteFile(out_path, head + runs_json + tail);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return 0;
+serve::ServiceOptions ServiceOptionsFrom(const Args& args) {
+  serve::ServiceOptions sopts;
+  sopts.max_batch = args.Int("max-batch");
+  sopts.max_queue = args.Int("max-queue");
+  sopts.deadline_ms = args.Double("deadline-ms");
+  sopts.shed_policy = args.Enum<serve::ShedPolicy>("shed-policy");
+  sopts.rate_rps = args.Double("rate-rps");
+  sopts.burst = args.Double("burst");
+  sopts.monitor_quality = args.Bool("quality");
+  return sopts;
 }
 
 /// `serve`: registers every tenant (--models, or --ckpt as the single tenant
 /// `default`) in a ModelRegistry (shadow-validated against held-out probes),
 /// fronts it with a ForecastService (bounded queues, token buckets,
 /// deadline-aware shedding), optionally watches containers for hot-swap, and
-/// drives it with either a fixed request count, the diurnal load generator
-/// (--loadgen), or the serving bench (--bench). SIGINT/SIGTERM drain
-/// gracefully: stop issuing, run queues dry, flush telemetry, exit 0.
+/// drives it with either a fixed request count or the diurnal load generator
+/// (--loadgen). SIGINT/SIGTERM drain gracefully: stop issuing, run queues
+/// dry, flush telemetry, exit 0.
 int Serve(const Args& args) {
-  auto shed_policy = serve::ParseShedPolicy(args.Get("shed-policy", "reject"));
-  if (!shed_policy.ok()) {
-    std::fprintf(stderr, "error: --shed-policy: %s\n",
-                 shed_policy.status().ToString().c_str());
-    return 2;
-  }
-  serve::ServiceOptions sopts;
-  sopts.max_batch = args.GetInt("max-batch", 8);
-  sopts.max_queue = args.GetInt("max-queue", 64);
-  sopts.deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  sopts.shed_policy = *shed_policy;
-  sopts.rate_rps = args.GetDouble("rate-rps", 0.0);
-  sopts.burst = args.GetDouble("burst", 0.0);
-  sopts.monitor_quality = args.GetInt("quality", 0) != 0;
-  if (const Status valid = serve::ValidateServiceOptions(sopts); !valid.ok()) {
-    // The message starts with the field name, and each field is named after
-    // its flag: max_batch is --max-batch.
-    std::string flag = valid.message().substr(0, valid.message().find(' '));
-    std::replace(flag.begin(), flag.end(), '_', '-');
-    std::fprintf(stderr, "error: --%s: %s\n", flag.c_str(),
-                 valid.ToString().c_str());
-    return 2;
-  }
-  auto loaded = LoadForModel(args);
-  if (!loaded.ok()) return Fail(loaded.status());
-
+  const serve::ServiceOptions sopts = ServiceOptionsFrom(args);
   std::vector<serve::ModelSpec> specs;
-  if (!ParseModelSpecs(args, loaded->config, &specs)) return 2;
+  if (!ParseModelSpecs(args, &specs)) return 2;
+  auto loaded = Load(args, /*trained=*/false);
+  if (!loaded.ok()) return Fail(loaded.status());
+  for (serve::ModelSpec& spec : specs) spec.config = loaded->config;
 
-  const std::string trace_out = args.Get("trace-out", "");
-  const std::string metrics_out = args.Get("metrics-out", "");
-  const std::string run_log_path = args.Get("run-log", "");
-  if (!trace_out.empty()) obs::StartTracing();
+  if (!args.Str("trace-out").empty()) obs::StartTracing();
 
   const auto& test = loaded->dataset.test_indices();
-  if (test.empty()) {
-    std::fprintf(stderr, "error: dataset has no test samples\n");
-    return 1;
-  }
 
   // Held-out probes: shadow validation replays the first few test batches on
   // every candidate plan; the request pool cycles through the rest.
   serve::RegistryOptions ropts;
-  const int probes = std::max(1, args.GetInt("probes", 3));
+  const int probes = args.Int("probes");
   for (int p = 0; p < probes; ++p) {
     ropts.probes.push_back(
         loaded->dataset.MakeBatch({test[static_cast<size_t>(p) % test.size()]}));
@@ -773,46 +824,50 @@ int Serve(const Args& args) {
   }
 
   std::unique_ptr<serve::SwapWatcher> watcher;
-  if (args.GetInt("hot-swap-watch", 0) != 0) {
+  if (args.Bool("hot-swap-watch")) {
     watcher = std::make_unique<serve::SwapWatcher>(
-        registry, args.GetDouble("watch-interval-ms", 200.0));
+        registry, args.Double("watch-interval-ms"));
   }
 
   g_cancel.store(false, std::memory_order_relaxed);
   std::signal(SIGINT, HandleSigint);
   std::signal(SIGTERM, HandleSigint);
 
+  // The request pool cycles through up to 32 test samples after the probes.
   std::vector<data::Batch> pool;
+  const int rest = static_cast<int>(test.size()) - probes;
   const int pool_size =
-      std::min<int>(args.GetInt("pool", 32),
-                    static_cast<int>(test.size()) - probes > 0
-                        ? static_cast<int>(test.size()) - probes
-                        : static_cast<int>(test.size()));
+      std::min<int>(32, rest > 0 ? rest : static_cast<int>(test.size()));
   for (int i = 0; i < std::max(1, pool_size); ++i) {
     pool.push_back(loaded->dataset.MakeBatch(
         {test[static_cast<size_t>(probes + i) % test.size()]}));
   }
 
   const BenchScale scale = ResolveSimScale(args);
-  const sim::DatasetId dataset = ParseDataset(args.Get("dataset", "taxi"));
+  const sim::DatasetId dataset = args.Enum<sim::DatasetId>("dataset");
   sim::City city(sim::MakeCityConfig(dataset, scale, scale.seed), scale.seed);
 
-  int exit_code = 0;
-  if (args.GetInt("bench", 0) != 0 || args.Has("bench-out")) {
-    exit_code = RunServingBench(service, specs[0].name, pool, city, args);
-  } else if (args.GetInt("loadgen", 0) != 0) {
+  if (args.Bool("loadgen")) {
     serve::LoadGenOptions lopts;
-    lopts.duration_s = args.GetDouble("duration-s", 8.0);
-    lopts.peak_rps = args.GetDouble("peak-rps", 32.0);
-    lopts.sim_days = args.GetInt("sim-days", 1);
-    lopts.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
-    lopts.max_outstanding = args.GetInt("max-outstanding", 256);
+    lopts.duration_s = args.Double("duration-s");
+    lopts.peak_rps = args.Double("peak-rps");
+    lopts.sim_days = args.Int("sim-days");
+    lopts.seed = static_cast<uint64_t>(args.Int("seed"));
+    lopts.max_outstanding = args.Int("max-outstanding");
     lopts.cancel = &g_cancel;
     serve::LoadGenReport report =
         RunLoadGen(service, specs[0].name, pool, city, lopts);
-    PrintLoadReport("loadgen", report);
-    if (!run_log_path.empty()) {
-      auto log = obs::RunLog::Open(run_log_path, /*truncate=*/true);
+    std::printf(
+        "loadgen: issued=%lld completed=%lld shed=%lld timed_out=%lld "
+        "errored=%lld wall=%.2fs shed_rate=%.3f p50=%.3fms p99=%.3fms\n",
+        static_cast<long long>(report.issued),
+        static_cast<long long>(report.completed),
+        static_cast<long long>(report.shed),
+        static_cast<long long>(report.timed_out),
+        static_cast<long long>(report.errored), report.wall_s,
+        report.shed_rate(), report.p50_ms, report.p99_ms);
+    if (!args.Str("run-log").empty()) {
+      auto log = obs::RunLog::Open(args.Str("run-log"), /*truncate=*/true);
       if (log.ok()) {
         (void)log->Append(obs::RunRecord("serve_loadgen")
                               .Int("issued", report.issued)
@@ -826,7 +881,7 @@ int Serve(const Args& args) {
     }
   } else {
     // Fixed request count, round-robin across tenants, closed loop.
-    const int requests = args.GetInt("requests", 256);
+    const int requests = args.Int("requests");
     const int cap = std::max(8, 4 * sopts.max_batch);
     std::deque<std::future<tensor::Tensor>> outstanding;
     int64_t completed = 0, failed = 0;
@@ -876,20 +931,11 @@ int Serve(const Args& args) {
                 static_cast<long long>(watcher->rejects()));
   }
 
-  if (!trace_out.empty()) {
-    const Status wrote = obs::StopTracingAndWrite(trace_out);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote trace %s\n", trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    const Status wrote = obs::WriteMetricsSnapshot(metrics_out);
-    if (!wrote.ok()) return Fail(wrote);
-    std::printf("wrote metrics %s\n", metrics_out.c_str());
-  }
+  if (Status wrote = WriteTelemetry(args); !wrote.ok()) return Fail(wrote);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   std::printf("serve drained cleanly\n");
-  return exit_code;
+  return 0;
 }
 
 /// `pipeline`: declares the full experiment DAG (simulate → dataset →
@@ -898,51 +944,36 @@ int Serve(const Args& args) {
 /// the affected stages (--explain prints why); Ctrl-C leaves a resumable
 /// cache.
 int RunPipeline(const Args& args) {
-  bench::ExperimentContext ctx = bench::MakeContext("incremental pipeline");
-
-  std::vector<sim::DatasetId> datasets;
-  for (const std::string& name :
-       StrSplit(args.Get("datasets", "bike,taxi,bj"), ',')) {
-    datasets.push_back(ParseDataset(name));
-  }
-  std::vector<std::string> models = StrSplit(
-      args.Get("models",
-               "HistoricalAverage,RNN,Seq2Seq,CONVGCN,GMAN,ST-Norm,STGSP,"
-               "DeepSTN+,ST-SSL,MUSE-Net"),
-      ',');
-
   std::vector<bench::TrainOverride> overrides;
   if (args.Has("override")) {
-    for (const std::string& text :
-         StrSplit(args.Get("override", ""), ',')) {
+    for (const std::string& text : StrSplit(args.Str("override"), ',')) {
       auto parsed = bench::ParseTrainOverride(text);
-      if (!parsed.ok()) return Fail(parsed.status());
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "error: --override: %s\n",
+                     parsed.status().message().c_str());
+        return 2;
+      }
       overrides.push_back(std::move(parsed).value());
     }
   }
-
-  const std::string bucket_name = args.Get("bucket", "all");
-  eval::TimeBucket bucket = eval::TimeBucket::kAll;
-  if (bucket_name == "peak") bucket = eval::TimeBucket::kPeak;
-  else if (bucket_name == "nonpeak") bucket = eval::TimeBucket::kNonPeak;
-  else if (bucket_name == "weekday") bucket = eval::TimeBucket::kWeekday;
-  else if (bucket_name == "weekend") bucket = eval::TimeBucket::kWeekend;
-  else if (bucket_name != "all") {
-    std::fprintf(stderr, "error: unknown --bucket '%s'\n",
-                 bucket_name.c_str());
-    return 2;
+  std::vector<sim::DatasetId> datasets;
+  for (const int id : args.At("datasets").list) {
+    datasets.push_back(static_cast<sim::DatasetId>(id));
   }
+  const std::vector<std::string> models = StrSplit(args.Str("models"), ',');
 
+  bench::ExperimentContext ctx = bench::MakeContext("incremental pipeline");
   pipeline::Pipeline graph;
   auto built = bench::BuildOneStepGraph(
-      &graph, ctx, datasets, models,
-      static_cast<int64_t>(args.GetInt("horizon", 0)), bucket, overrides);
+      &graph, ctx, datasets, models, args.Int("horizon"),
+      args.Enum<eval::TimeBucket>("bucket"), overrides);
   if (!built.ok()) return Fail(built.status());
 
   pipeline::Pipeline::RunOptions options;
-  options.cache_dir = args.Get("cache-dir", bench::PipelineCacheDir(ctx));
-  options.jobs = std::max(1, args.GetInt("jobs", 1));
-  options.explain = args.GetInt("explain", 0) != 0;
+  options.cache_dir = args.Has("cache-dir") ? args.Str("cache-dir")
+                                            : bench::PipelineCacheDir(ctx);
+  options.jobs = args.Int("jobs");
+  options.explain = args.Bool("explain");
   options.cancel = &g_cancel;
   std::signal(SIGINT, HandleSigint);
 
@@ -974,73 +1005,36 @@ int RunPipeline(const Args& args) {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: musenet <command> [--flag value ...]\n"
-      "  simulate  --dataset bike|taxi|bj --out FILE [--days N] [--seed S]\n"
-      "            [--grid-h H] [--grid-w W]\n"
-      "  train     --flows FILE --ckpt FILE [--epochs N] [--patience P]\n"
-      "            [--lr LR] [--d D] [--k K] [--seed S]\n"
-      "            [--dataset bike|taxi|bj | --expect-flows-hash HEX]\n"
-      "            (provenance check: fail fast on a stale flows file)\n"
-      "            [--checkpoint-dir DIR] [--checkpoint-every N]\n"
-      "            [--keep-last K] [--resume 0|1]\n"
-      "            [--on-nonfinite abort|skip|rollback]\n"
-      "            [--train-workers N] [--train-shards S] [--prefetch 0|1]\n"
-      "            (data-parallel step: S fixes numerics, N only schedules;\n"
-      "            results are bit-exact across N at fixed S)\n"
-      "            [--trace-out FILE] [--metrics-out FILE]\n"
-      "            [--run-log FILE] [--run-log-timings 0|1]\n"
-      "  evaluate  --flows FILE --ckpt FILE [--d D] [--k K]\n"
-      "  predict   --flows FILE --ckpt FILE --index I [--d D] [--k K]\n"
-      "  serve     --flows FILE (--ckpt FILE | --models name=ckpt,...)\n"
-      "            (--ckpt FILE alone serves the one tenant default=FILE)\n"
-      "            [--requests N] [--max-batch B]  (an idle tenant runs a\n"
-      "            request at once; up to B queued requests share a batch)\n"
-      "            [--d D] [--k K] [--specialize 0|1] [--probes N]\n"
-      "            [--trace-out FILE] [--metrics-out FILE]\n"
-      "            [--obs-port P]  (HTTP /metrics /healthz /statusz; 0 =\n"
-      "            ephemeral, bound port is printed; /statusz?dump=1 dumps\n"
-      "            the flight recorder)  [--postmortem FILE]  (flight-\n"
-      "            recorder dump on fatal signal / shadow rejection)\n"
-      "            [--hot-swap-watch 0|1] [--watch-interval-ms MS]\n"
-      "            [--max-queue Q] [--deadline-ms MS]\n"
-      "            [--shed-policy reject|oldest] [--rate-rps R] [--burst B]\n"
-      "            [--quality 0|1]  (rolling MAE/bias + CUSUM drift gauges)\n"
-      "            [--loadgen 0|1] [--duration-s S] [--peak-rps R]\n"
-      "            [--sim-days N] [--run-log FILE]\n"
-      "            [--bench 0|1] [--bench-out FILE] [--load-mults 1,4,8]\n"
-      "            [--calib-s S] [--phase-s S] [--max-outstanding N]\n"
-      "            SIGINT/SIGTERM drain queues, flush telemetry, exit 0.\n"
-      "  bench-infer --flows FILE --ckpt FILE [--iters N] [--batch B]\n"
-      "            [--specialize 0|1] [--d D] [--k K] [--out FILE]\n"
-      "  pipeline  [--datasets bike,taxi,bj] [--models M1,M2,...]\n"
-      "            [--cache-dir DIR] [--jobs N] [--explain 0|1]\n"
-      "            [--horizon H] [--bucket all|peak|nonpeak|weekday|weekend]\n"
-      "            [--override MODEL:key=value[,...]]  (keys: epochs, lr,\n"
-      "            batch, patience; MODEL '*' matches all)\n"
-      "            Incremental experiment DAG vs the content-hashed stage\n"
-      "            cache; Ctrl-C leaves a resumable cache.\n");
-  return 2;
-}
-
 }  // namespace
 }  // namespace musenet
 
 int main(int argc, char** argv) {
   using namespace musenet;
-  if (argc < 2) return Usage();
+  const std::pair<const char*, int (*)(const Args&)> kVerbs[] = {
+      {"simulate", Simulate}, {"train", Train},
+      {"evaluate", Evaluate}, {"predict", Predict},
+      {"serve", Serve},       {"bench-infer", BenchInfer},
+      {"pipeline", RunPipeline}};
+  const std::string verb = argc < 2 ? "" : argv[1];
+  const auto run = std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                                [&](const auto& v) { return verb == v.first; });
+  if (run == std::end(kVerbs)) return Usage();
+  const Result<Args> args = ParseArgs(argc, argv);
+  if (!args.ok()) {
+    std::fprintf(stderr, "error: %s\n", args.status().message().c_str());
+    return 2;
+  }
+  // Values a library validator rejects are usage errors too, caught before
+  // the verb loads anything.
+  Status valid = Takes(kModelVerbs, verb)
+                     ? muse::ValidateMuseNetConfig(ModelConfig(*args))
+                     : Status::OK();
+  if (valid.ok() && verb == "serve") {
+    valid = serve::ValidateServiceOptions(ServiceOptionsFrom(*args));
+  }
+  if (!valid.ok()) return FieldError(valid);
+
   obs::AutoInitFromEnv();            // MUSENET_TRACE=<path>
   obs::AutoInitPostmortemFromEnv();  // MUSENET_POSTMORTEM=<path>
-  const std::string command = argv[1];
-  const Args args(argc, argv);
-  if (command == "simulate") return Simulate(args);
-  if (command == "train") return Train(args);
-  if (command == "evaluate") return Evaluate(args);
-  if (command == "predict") return Predict(args);
-  if (command == "serve") return Serve(args);
-  if (command == "bench-infer") return BenchInfer(args);
-  if (command == "pipeline") return RunPipeline(args);
-  return Usage();
+  return run->second(*args);
 }

@@ -93,8 +93,8 @@ for workers, entry in sorted(by_workers.items(), key=lambda kv: int(kv[0])):
     print(line)
 PY
 
-# Gate against the committed record before overwriting it, exactly like the
-# serving bench: a regressed run must fail here, not become the new baseline.
+# Gate against the committed record before overwriting it: a regressed run
+# must fail here, not become the new baseline.
 if [[ -f "$repo_root/BENCH_training.json" ]]; then
   python3 "$repo_root/tools/check_bench_regression.py" \
     --committed "$repo_root/BENCH_training.json" \
